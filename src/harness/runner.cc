@@ -1,6 +1,7 @@
 #include "harness/runner.hh"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "obs/collect.hh"
 
@@ -37,8 +38,12 @@ Runner::rootTask(Slot &slot)
 TxContext &
 Runner::addSlot(DomainId domain, WorkerFn fn, bool background)
 {
-    assert(_nextCore < _sys.machine().cores &&
-           "more workloads than cores; raise MachineConfig::cores");
+    if (_nextCore >= _sys.machine().cores) {
+        throw std::invalid_argument(
+            "Runner: more workers than the machine's " +
+            std::to_string(_sys.machine().cores) +
+            " cores; raise MachineConfig::cores");
+    }
     auto slot = std::make_unique<Slot>();
     slot->ctx = std::make_unique<TxContext>(_sys, _nextCore, domain,
                                             _seed * 7919 + _nextCore);

@@ -120,10 +120,16 @@ class Runner
     /** Create a conflict domain (one simulated process). */
     DomainId addDomain(const std::string &name);
 
-    /** Place a foreground worker on the next free core. */
+    /**
+     * Place a foreground worker on the next free core.
+     * @throws std::invalid_argument if every core is taken.
+     */
     TxContext &addWorker(DomainId domain, WorkerFn fn);
 
-    /** Place a background workload on the next free core. */
+    /**
+     * Place a background workload on the next free core.
+     * @throws std::invalid_argument if every core is taken.
+     */
     TxContext &addBackground(DomainId domain, WorkerFn fn);
 
     /** Register a workload metrics exporter (run in add order). */

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "check/fault_injector.hh"
 #include "htm/conflict_policy.hh"
@@ -30,8 +32,12 @@ HtmSystem::HtmSystem(EventQueue &eq, MachineConfig mcfg, HtmPolicy policy)
       _undoLog(mcfg.logAreaBytes), _redoLog(mcfg.logAreaBytes)
 {
     trace::initFromEnv();
-    assert(mcfg.cores >= 1 && mcfg.cores <= 64 &&
-           "sharer bitmask limits the model to 64 cores");
+    if (mcfg.cores < 1 || mcfg.cores > 64) {
+        throw std::invalid_argument(
+            "HtmSystem: cores must be in [1, 64] (the directory sharer "
+            "mask is 64 bits), got " +
+            std::to_string(mcfg.cores));
+    }
     assert(_policy.conflict.validate() && "invalid conflict policy");
     _conflict = makeConflictPolicy(_policy);
     // Domain summary filters share the per-transaction signature

@@ -147,6 +147,10 @@ struct AccessResult
 class HtmSystem
 {
   public:
+    /**
+     * @throws std::invalid_argument if @p mcfg has fewer than 1 or more
+     *         than 64 cores, or an impossible cache geometry.
+     */
     HtmSystem(EventQueue &eq, MachineConfig mcfg, HtmPolicy policy);
     ~HtmSystem();
 

@@ -5,43 +5,11 @@
 namespace uhtm
 {
 
-namespace
-{
-
-/** Round down to the previous power of two (at least 1). */
-std::uint64_t
-floorPow2(std::uint64_t v)
-{
-    std::uint64_t p = 1;
-    while ((p << 1) <= v)
-        p <<= 1;
-    return p;
-}
-
-} // namespace
-
 Cache::Cache(std::string name, std::uint64_t size_bytes, unsigned ways,
              bool tx_aware_replacement)
-    : _name(std::move(name)), _ways(ways), _txAware(tx_aware_replacement)
+    : _name(std::move(name)), _txAware(tx_aware_replacement),
+      _sets(_name, size_bytes, ways)
 {
-    assert(ways >= 1);
-    const std::uint64_t lines = size_bytes / kLineBytes;
-    assert(lines >= ways);
-    _numSets = floorPow2(lines / ways);
-    _lines.resize(_numSets * _ways);
-    _tags.assign(_numSets * _ways, kInvalidTag);
-}
-
-std::uint64_t
-Cache::setIndex(Addr line_base) const
-{
-    return lineNumber(line_base) & (_numSets - 1);
-}
-
-CacheLine *
-Cache::setBase(std::uint64_t set)
-{
-    return &_lines[set * _ways];
 }
 
 CacheLine *
@@ -58,28 +26,6 @@ Cache::lookup(Addr line_base)
 }
 
 CacheLine *
-Cache::peek(Addr line_base)
-{
-    const std::uint64_t base = setIndex(line_base) * _ways;
-    const Addr *tags = &_tags[base];
-    for (unsigned w = 0; w < _ways; ++w) {
-        if (tags[w] != line_base)
-            continue;
-        CacheLine &cl = _lines[base + w];
-        // Verify: external in-place resets leave stale shadow tags.
-        if (cl.valid && cl.tag == line_base)
-            return &cl;
-    }
-    return nullptr;
-}
-
-const CacheLine *
-Cache::peek(Addr line_base) const
-{
-    return const_cast<Cache *>(this)->peek(line_base);
-}
-
-CacheLine *
 Cache::allocate(Addr line_base, CacheLine &evicted, bool &had_victim)
 {
     CacheLine *victim = victimFor(line_base, had_victim);
@@ -93,7 +39,8 @@ CacheLine *
 Cache::victimFor(Addr line_base, bool &had_victim)
 {
     assert(!peek(line_base) && "line must not already be present");
-    CacheLine *set = setBase(setIndex(line_base));
+    CacheLine *set = _sets.set(line_base);
+    const unsigned ways = _sets.ways();
 
     // Single pass; candidate preferences and way-order tie-breaks match
     // the original three-pass selection exactly (first invalid way,
@@ -102,7 +49,7 @@ Cache::victimFor(Addr line_base, bool &had_victim)
     CacheLine *victim = nullptr;
     CacheLine *nonTxLru = nullptr;
     CacheLine *lru = nullptr;
-    for (unsigned w = 0; w < _ways; ++w) {
+    for (unsigned w = 0; w < ways; ++w) {
         CacheLine &cl = set[w];
         if (!cl.valid) {
             victim = &cl;
@@ -132,31 +79,15 @@ Cache::victimFor(Addr line_base, bool &had_victim)
 void
 Cache::install(CacheLine *slot, Addr line_base)
 {
-    slot->reset();
-    slot->valid = true;
-    slot->tag = line_base;
+    _sets.install(slot, line_base);
     touch(*slot);
-    _tags[static_cast<std::size_t>(slot - _lines.data())] = line_base;
 }
 
 void
 Cache::invalidate(Addr line_base)
 {
-    if (CacheLine *line = peek(line_base)) {
-        line->reset();
-        _tags[static_cast<std::size_t>(line - _lines.data())] =
-            kInvalidTag;
-    }
-}
-
-void
-Cache::reset()
-{
-    for (auto &line : _lines)
-        line.reset();
-    _tags.assign(_tags.size(), kInvalidTag);
-    _lruClock = 0;
-    _stats = Stats{};
+    if (CacheLine *line = peek(line_base))
+        _sets.erase(line);
 }
 
 } // namespace uhtm

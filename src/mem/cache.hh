@@ -8,6 +8,9 @@
  * read/write markers and — for the shared LLC, which embeds the
  * directory — sharer/owner tracking with the paper's Tx-bit, Tx-Owner
  * and Tx-Sharer fields (Section IV-D).
+ *
+ * Lines live in a sparse SetStore: sets are materialized on the first
+ * allocation into them, and an untouched set reads as invalid.
  */
 
 #ifndef UHTM_MEM_CACHE_HH
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "mem/layout.hh"
+#include "sim/set_store.hh"
 #include "sim/small_vec.hh"
 #include "sim/types.hh"
 
@@ -142,16 +146,19 @@ class Cache
      * @param size_bytes total capacity.
      * @param ways associativity.
      * @param tx_aware_replacement prefer non-transactional victims.
+     * @throws std::invalid_argument on an impossible geometry.
      */
     Cache(std::string name, std::uint64_t size_bytes, unsigned ways,
           bool tx_aware_replacement = false);
 
-    /** Find the line holding @p line_base, or nullptr. Counts hit/miss. */
+    /**
+     * Find the line holding @p line_base, or nullptr. Counts hit/miss.
+     * Neither lookup nor peek materializes a set.
+     */
     CacheLine *lookup(Addr line_base);
 
     /** Find without touching statistics or LRU. */
-    CacheLine *peek(Addr line_base);
-    const CacheLine *peek(Addr line_base) const;
+    CacheLine *peek(Addr line_base) { return _sets.find(line_base); }
 
     /**
      * Allocate a way for @p line_base (which must not be present).
@@ -196,9 +203,7 @@ class Cache
     void
     forEachLine(Fn &&fn)
     {
-        for (auto &line : _lines)
-            if (line.valid)
-                fn(line);
+        _sets.forEach(fn);
     }
 
     /**
@@ -213,10 +218,7 @@ class Cache
     forEachLineSorted(Fn &&fn)
     {
         std::vector<CacheLine *> valid;
-        valid.reserve(_lines.size());
-        for (auto &line : _lines)
-            if (line.valid)
-                valid.push_back(&line);
+        _sets.forEach([&](CacheLine &line) { valid.push_back(&line); });
         std::sort(valid.begin(), valid.end(),
                   [](const CacheLine *a, const CacheLine *b) {
                       return a->tag < b->tag;
@@ -225,35 +227,18 @@ class Cache
             fn(*line);
     }
 
-    /** Drop all contents and statistics. */
-    void reset();
-
-    unsigned ways() const { return _ways; }
-    std::uint64_t numSets() const { return _numSets; }
-    std::uint64_t capacityLines() const { return _numSets * _ways; }
+    unsigned ways() const { return _sets.ways(); }
+    std::uint64_t numSets() const { return _sets.numSets(); }
+    std::uint64_t capacityLines() const { return numSets() * ways(); }
+    /** Sets materialized so far (host memory; not a modeled stat). */
+    std::uint64_t allocatedSets() const { return _sets.allocatedSets(); }
     const Stats &stats() const { return _stats; }
     const std::string &name() const { return _name; }
 
   private:
-    /** _tags sentinel; never a line-aligned address. */
-    static constexpr Addr kInvalidTag = ~Addr(0);
-
-    std::uint64_t setIndex(Addr line_base) const;
-    CacheLine *setBase(std::uint64_t set);
-
     std::string _name;
-    unsigned _ways;
     bool _txAware;
-    std::uint64_t _numSets;
-    std::vector<CacheLine> _lines;
-    /**
-     * Tag-only shadow of _lines, scanned by peek() so a set probe
-     * touches a few contiguous words instead of whole CacheLines.
-     * May go stale (external code resets lines in place via
-     * forEachLine*), so a tag match is verified against the line; a
-     * stale entry always points at an invalid line, never a wrong hit.
-     */
-    std::vector<Addr> _tags;
+    SetStore<CacheLine> _sets;
     std::uint64_t _lruClock = 0;
     Stats _stats;
 };

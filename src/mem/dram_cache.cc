@@ -1,41 +1,14 @@
 #include "mem/dram_cache.hh"
 
-#include <cassert>
-
 #include "obs/event.hh"
 #include "obs/self_profile.hh"
 
 namespace uhtm
 {
 
-namespace
+DramCache::DramCache(std::uint64_t size_bytes, unsigned ways)
+    : _sets("DRAM cache", size_bytes, ways)
 {
-
-std::uint64_t
-floorPow2(std::uint64_t v)
-{
-    std::uint64_t p = 1;
-    while ((p << 1) <= v)
-        p <<= 1;
-    return p;
-}
-
-} // namespace
-
-DramCache::DramCache(std::uint64_t size_bytes, unsigned ways) : _ways(ways)
-{
-    assert(ways >= 1);
-    const std::uint64_t lines = size_bytes / kLineBytes;
-    assert(lines >= ways);
-    _numSets = floorPow2(lines / ways);
-    _entries.resize(_numSets * _ways);
-    _tags.assign(_numSets * _ways, kInvalidTag);
-}
-
-std::uint64_t
-DramCache::setIndex(Addr line_base) const
-{
-    return lineNumber(line_base) & (_numSets - 1);
 }
 
 DramCacheEntry *
@@ -48,21 +21,6 @@ DramCache::lookup(Addr line_base)
         return e;
     }
     ++_stats.misses;
-    return nullptr;
-}
-
-DramCacheEntry *
-DramCache::peek(Addr line_base)
-{
-    const std::uint64_t base = setIndex(line_base) * _ways;
-    const Addr *tags = &_tags[base];
-    for (unsigned w = 0; w < _ways; ++w) {
-        if (tags[w] != line_base)
-            continue;
-        DramCacheEntry &e = _entries[base + w];
-        if (e.valid && e.tag == line_base)
-            return &e;
-    }
     return nullptr;
 }
 
@@ -95,9 +53,7 @@ DramCache::evict(DramCacheEntry &victim)
     }
     if (_evictHook)
         _evictHook(victim.tag, reason);
-    victim = DramCacheEntry{};
-    _tags[static_cast<std::size_t>(&victim - _entries.data())] =
-        kInvalidTag;
+    _sets.erase(&victim);
 }
 
 DramCacheEntry *
@@ -126,18 +82,19 @@ DramCache::insert(Addr line_base, TxId tx)
         return e;
     }
 
-    DramCacheEntry *set = &_entries[setIndex(line_base) * _ways];
+    DramCacheEntry *set = _sets.set(line_base);
+    const unsigned ways = _sets.ways();
     DramCacheEntry *victim = nullptr;
-    for (unsigned w = 0; w < _ways && !victim; ++w)
+    for (unsigned w = 0; w < ways && !victim; ++w)
         if (!set[w].valid)
             victim = &set[w];
     if (!victim) {
         // Prefer invalidated, then committed-clean, then LRU overall.
-        for (unsigned w = 0; w < _ways && !victim; ++w)
+        for (unsigned w = 0; w < ways && !victim; ++w)
             if (set[w].invalidated)
                 victim = &set[w];
         if (!victim) {
-            for (unsigned w = 0; w < _ways; ++w) {
+            for (unsigned w = 0; w < ways; ++w) {
                 if (set[w].tx != kNoTx)
                     continue;
                 if (!victim || set[w].lru < victim->lru)
@@ -146,35 +103,17 @@ DramCache::insert(Addr line_base, TxId tx)
         }
         if (!victim) {
             victim = &set[0];
-            for (unsigned w = 1; w < _ways; ++w)
+            for (unsigned w = 1; w < ways; ++w)
                 if (set[w].lru < victim->lru)
                     victim = &set[w];
         }
         evict(*victim);
     }
 
-    victim->valid = true;
-    victim->tag = line_base;
+    _sets.install(victim, line_base);
     victim->tx = tx;
-    victim->dirty = false;
-    victim->invalidated = false;
     victim->lru = ++_lruClock;
-    _tags[static_cast<std::size_t>(victim - _entries.data())] = line_base;
     return victim;
-}
-
-void
-DramCache::commitTx(
-    TxId tx,
-    FunctionRef<void(Addr, std::array<std::uint8_t, kLineBytes> &)> fetch)
-{
-    for (auto &e : _entries) {
-        if (e.valid && e.tx == tx && !e.invalidated) {
-            fetch(e.tag, e.data);
-            e.tx = kNoTx;
-            e.dirty = true;
-        }
-    }
 }
 
 bool
@@ -193,12 +132,12 @@ DramCache::commitEntry(Addr line_base, TxId tx,
 void
 DramCache::abortTx(TxId tx)
 {
-    for (auto &e : _entries) {
-        if (e.valid && e.tx == tx) {
+    _sets.forEach([&](DramCacheEntry &e) {
+        if (e.tx == tx) {
             e.invalidated = true;
             ++_stats.invalidations;
         }
-    }
+    });
 }
 
 void
@@ -216,8 +155,8 @@ void
 DramCache::flushAll()
 {
     UHTM_SELF_PROFILE_SCOPE(DramCache);
-    for (auto &e : _entries) {
-        if (e.valid && !e.invalidated && e.tx == kNoTx && e.dirty) {
+    _sets.forEach([&](DramCacheEntry &e) {
+        if (!e.invalidated && e.tx == kNoTx && e.dirty) {
             ++_stats.writeBacks;
             if (_probe) {
                 _probe->notifyPersist(PersistPoint::DramCacheWriteback,
@@ -227,17 +166,7 @@ DramCache::flushAll()
                 _writeBack(e.tag, e.data);
             e.dirty = false;
         }
-    }
-}
-
-void
-DramCache::reset()
-{
-    for (auto &e : _entries)
-        e = DramCacheEntry{};
-    _tags.assign(_tags.size(), kInvalidTag);
-    _lruClock = 0;
-    _stats = Stats{};
+    });
 }
 
 } // namespace uhtm

@@ -14,6 +14,9 @@
  * value that committed (this is what makes crash recovery exact; see
  * DESIGN.md). Uncommitted entries are marked with their transaction id
  * and flipped to invalid by the abort protocol's invalidate bit.
+ *
+ * Entries live in a sparse SetStore: sets are materialized on the
+ * first insert into them, and an untouched set reads as invalid.
  */
 
 #ifndef UHTM_MEM_DRAM_CACHE_HH
@@ -21,11 +24,10 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "check/persist_probe.hh"
 #include "sim/function_ref.hh"
+#include "sim/set_store.hh"
 #include "sim/types.hh"
 
 namespace uhtm
@@ -78,6 +80,7 @@ class DramCache
         FunctionRef<void(Addr line_base,
                          const std::array<std::uint8_t, kLineBytes> &)>;
 
+    /** @throws std::invalid_argument on an impossible geometry. */
     DramCache(std::uint64_t size_bytes, unsigned ways);
 
     /** Install the in-place write-back hook (non-owning). */
@@ -95,11 +98,14 @@ class DramCache
     /** Attach a persistence probe (write-backs and drops). */
     void setProbe(PersistProbe *probe) { _probe = probe; }
 
-    /** Find a live entry (valid and not invalidated). Counts hit/miss. */
+    /**
+     * Find a live entry (valid and not invalidated). Counts hit/miss.
+     * Neither lookup nor peek materializes a set.
+     */
     DramCacheEntry *lookup(Addr line_base);
 
     /** Find without statistics, including invalidated entries. */
-    DramCacheEntry *peek(Addr line_base);
+    DramCacheEntry *peek(Addr line_base) { return _sets.find(line_base); }
 
     /**
      * Insert (or refresh) an entry for @p line_base.
@@ -110,18 +116,6 @@ class DramCache
     DramCacheEntry *insert(Addr line_base, TxId tx);
 
     /**
-     * Commit all entries belonging to @p tx: stamp them with the
-     * committed @p data source and clear the owner id. O(cache size);
-     * prefer commitEntry() driven by the overflow list in hot paths.
-     * @param fetch returns the committed bytes for a line (non-owning).
-     */
-    void
-    commitTx(TxId tx,
-             FunctionRef<void(Addr,
-                              std::array<std::uint8_t, kLineBytes> &)>
-                 fetch);
-
-    /**
      * Commit a single entry of @p tx (overflow-list driven): store the
      * committed bytes and clear the owner id.
      * @retval true the entry was found and committed.
@@ -129,7 +123,10 @@ class DramCache
     bool commitEntry(Addr line_base, TxId tx,
                      const std::array<std::uint8_t, kLineBytes> &data);
 
-    /** Abort: set the invalidate bit on every entry owned by @p tx. */
+    /**
+     * Abort: set the invalidate bit on every entry owned by @p tx.
+     * Walks every materialized set; hot paths use invalidateEntry().
+     */
     void abortTx(TxId tx);
 
     /** Invalidate one entry of @p tx (overflow-list driven abort). */
@@ -138,36 +135,27 @@ class DramCache
     /** Flush every committed dirty entry to in-place NVM (tests). */
     void flushAll();
 
-    /** Drop everything. */
-    void reset();
-
+    /** Invoke @p fn on every valid entry, set-major then way order. */
     template <typename Fn>
     void
     forEach(Fn &&fn)
     {
-        for (auto &e : _entries)
-            if (e.valid)
-                fn(e);
+        _sets.forEach(fn);
     }
 
     const Stats &stats() const { return _stats; }
-    std::uint64_t capacityLines() const { return _numSets * _ways; }
+    std::uint64_t
+    capacityLines() const
+    {
+        return _sets.numSets() * _sets.ways();
+    }
+    /** Sets materialized so far (host memory; not a modeled stat). */
+    std::uint64_t allocatedSets() const { return _sets.allocatedSets(); }
 
   private:
-    /** _tags sentinel; never a line-aligned address. */
-    static constexpr Addr kInvalidTag = ~Addr(0);
-
-    std::uint64_t setIndex(Addr line_base) const;
     void evict(DramCacheEntry &victim);
 
-    unsigned _ways;
-    std::uint64_t _numSets;
-    std::vector<DramCacheEntry> _entries;
-    /** Tag-only shadow of _entries: a set probe reads a few contiguous
-     *  words instead of 96-byte entries (matters at 64 MiB capacity
-     *  where probed sets are cold in the host cache). Tag matches are
-     *  verified against the entry. */
-    std::vector<Addr> _tags;
+    SetStore<DramCacheEntry> _sets;
     std::uint64_t _lruClock = 0;
     WriteBackFn _writeBack;
     EvictHookFn _evictHook;

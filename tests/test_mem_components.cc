@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for the passive memory components: backing store, memory
- * controller, cache tag array and DRAM cache.
+ * controller, cache tag array and DRAM cache, including the sparse set
+ * store under both caches (checked against dense reference models).
  */
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "check/fault_injector.hh"
@@ -418,6 +422,493 @@ TEST(DramCache, LazyInPlaceNvmUpdateOrdersAfterCommitMark)
                   0xc0ffee00u + i);
 
     sys.setFaultInjector(nullptr);
+}
+
+TEST(SparseSets, FullSizeCachesStartWithNoSets)
+{
+    const MachineConfig m; // paper Table III
+    Cache llc("LLC", m.llcBytes, m.llcWays);
+    DramCache dc(m.dramCacheBytes, m.dramCacheWays);
+    EXPECT_EQ(llc.capacityLines(), m.llcBytes / kLineBytes);
+    EXPECT_EQ(dc.capacityLines(), m.dramCacheBytes / kLineBytes);
+    EXPECT_EQ(llc.allocatedSets(), 0u);
+    EXPECT_EQ(dc.allocatedSets(), 0u);
+}
+
+TEST(SparseSets, MissOnUntouchedSetAllocatesNothing)
+{
+    const MachineConfig m;
+    Cache llc("LLC", m.llcBytes, m.llcWays);
+    DramCache dc(m.dramCacheBytes, m.dramCacheWays);
+    const Addr line = MemLayout::kNvmBase + MiB(3);
+    EXPECT_EQ(llc.lookup(line), nullptr);
+    EXPECT_EQ(llc.peek(line), nullptr);
+    llc.invalidate(line);
+    EXPECT_EQ(dc.lookup(line), nullptr);
+    EXPECT_EQ(dc.peek(line), nullptr);
+    std::array<std::uint8_t, kLineBytes> data{};
+    EXPECT_FALSE(dc.commitEntry(line, 1, data));
+    dc.invalidateEntry(line, 1);
+    dc.abortTx(1);
+    dc.flushAll();
+    EXPECT_EQ(llc.allocatedSets(), 0u);
+    EXPECT_EQ(dc.allocatedSets(), 0u);
+    EXPECT_EQ(llc.stats().misses, 1u);
+    EXPECT_EQ(dc.stats().misses, 1u);
+
+    // The first allocation materializes one chunk of sets, no more.
+    CacheLine ev;
+    bool had = true;
+    llc.allocate(line, ev, had);
+    EXPECT_FALSE(had);
+    dc.insert(line, kNoTx);
+    EXPECT_EQ(llc.allocatedSets(), SetStore<CacheLine>::kChunkSets);
+    EXPECT_EQ(dc.allocatedSets(), SetStore<DramCacheEntry>::kChunkSets);
+}
+
+TEST(SparseSets, ImpossibleGeometryThrows)
+{
+    EXPECT_THROW(Cache("t", KiB(4), 0), std::invalid_argument);
+    EXPECT_THROW(Cache("t", kLineBytes, 2), std::invalid_argument);
+    EXPECT_THROW(DramCache(KiB(4), 0), std::invalid_argument);
+    EXPECT_THROW(DramCache(3 * kLineBytes, 4), std::invalid_argument);
+    EXPECT_NO_THROW(Cache("t", 2 * kLineBytes, 2));
+}
+
+/** Dense reference tag array: the pre-sparse Cache, kept minimal. */
+class DenseCache
+{
+  public:
+    DenseCache(std::uint64_t sets, unsigned ways, bool tx_aware)
+        : _sets(sets), _ways(ways), _txAware(tx_aware), _lines(sets * ways)
+    {
+    }
+
+    CacheLine *
+    peek(Addr line_base)
+    {
+        CacheLine *set = setOf(line_base);
+        for (unsigned w = 0; w < _ways; ++w)
+            if (set[w].valid && set[w].tag == line_base)
+                return &set[w];
+        return nullptr;
+    }
+
+    CacheLine *
+    lookup(Addr line_base)
+    {
+        CacheLine *l = peek(line_base);
+        if (l) {
+            ++stats.hits;
+            l->lru = ++_clock;
+        } else {
+            ++stats.misses;
+        }
+        return l;
+    }
+
+    CacheLine *
+    allocate(Addr line_base, CacheLine &evicted, bool &had)
+    {
+        CacheLine *set = setOf(line_base);
+        CacheLine *victim = nullptr;
+        for (unsigned w = 0; w < _ways && !victim; ++w)
+            if (!set[w].valid)
+                victim = &set[w];
+        if (!victim && _txAware) {
+            for (unsigned w = 0; w < _ways; ++w)
+                if (!set[w].txBit() &&
+                    (!victim || set[w].lru < victim->lru))
+                    victim = &set[w];
+        }
+        if (!victim) {
+            for (unsigned w = 0; w < _ways; ++w)
+                if (!victim || set[w].lru < victim->lru)
+                    victim = &set[w];
+        }
+        had = victim->valid;
+        if (had) {
+            evicted = *victim;
+            ++stats.evictions;
+            if (victim->txBit())
+                ++stats.txEvictions;
+            if (MemLayout::kindOf(victim->tag) == MemKind::Nvm)
+                ++stats.evictionsNvm;
+        }
+        *victim = CacheLine{};
+        victim->valid = true;
+        victim->tag = line_base;
+        victim->lru = ++_clock;
+        return victim;
+    }
+
+    void
+    invalidate(Addr line_base)
+    {
+        if (CacheLine *l = peek(line_base))
+            *l = CacheLine{};
+    }
+
+    std::vector<Addr>
+    order() const
+    {
+        std::vector<Addr> tags;
+        for (const CacheLine &l : _lines)
+            if (l.valid)
+                tags.push_back(l.tag);
+        return tags;
+    }
+
+    Cache::Stats stats;
+
+  private:
+    CacheLine *
+    setOf(Addr line_base)
+    {
+        return &_lines[(lineNumber(line_base) & (_sets - 1)) * _ways];
+    }
+
+    std::uint64_t _sets;
+    unsigned _ways;
+    bool _txAware;
+    std::vector<CacheLine> _lines;
+    std::uint64_t _clock = 0;
+};
+
+/** A random line from the lower half of a @p sets-set cache. */
+Addr
+randomLine(std::mt19937_64 &rng, std::uint64_t sets)
+{
+    const Addr base = rng() % 2 ? MemLayout::kNvmBase : 0;
+    const std::uint64_t set = rng() % (sets / 2);
+    const std::uint64_t tag = rng() % 8;
+    return base + (tag * sets + set) * kLineBytes;
+}
+
+void
+expectSameStats(const Cache::Stats &a, const Cache::Stats &b)
+{
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.txEvictions, b.txEvictions);
+    EXPECT_EQ(a.evictionsNvm, b.evictionsNvm);
+}
+
+TEST(SparseSets, CacheMatchesDenseReference)
+{
+    constexpr std::uint64_t kSets = 256;
+    constexpr unsigned kWays = 4;
+    for (bool tx_aware : {false, true}) {
+        Cache cache("t", kSets * kWays * kLineBytes, kWays, tx_aware);
+        ASSERT_EQ(cache.numSets(), kSets);
+        DenseCache ref(kSets, kWays, tx_aware);
+        std::mt19937_64 rng(0x5eed + tx_aware);
+        for (int step = 0; step < 20000; ++step) {
+            SCOPED_TRACE(step);
+            const Addr line = randomLine(rng, kSets);
+            switch (rng() % 4) {
+            case 0: {
+                CacheLine *got = cache.lookup(line);
+                CacheLine *want = ref.lookup(line);
+                ASSERT_EQ(got != nullptr, want != nullptr);
+                if (got && rng() % 4 == 0) // make some lines tx
+                    got->txWriter = want->txWriter = 1 + rng() % 3;
+                break;
+            }
+            case 1:
+                cache.invalidate(line);
+                ref.invalidate(line);
+                break;
+            default: {
+                if (ref.peek(line)) {
+                    ASSERT_NE(cache.peek(line), nullptr);
+                    break;
+                }
+                CacheLine ev_got, ev_want;
+                bool had_got = false, had_want = false;
+                CacheLine *got = cache.allocate(line, ev_got, had_got);
+                ref.allocate(line, ev_want, had_want);
+                ASSERT_EQ(got->tag, line);
+                ASSERT_EQ(had_got, had_want);
+                if (had_got) {
+                    ASSERT_EQ(ev_got.tag, ev_want.tag);
+                }
+                break;
+            }
+            }
+            if (step % 1000 == 0) {
+                std::vector<Addr> order;
+                cache.forEachLine(
+                    [&](CacheLine &l) { order.push_back(l.tag); });
+                ASSERT_EQ(order, ref.order());
+            }
+        }
+        expectSameStats(cache.stats(), ref.stats);
+        std::vector<Addr> order;
+        cache.forEachLine([&](CacheLine &l) { order.push_back(l.tag); });
+        EXPECT_EQ(order, ref.order());
+        EXPECT_GT(cache.stats().evictions, 0u);
+        EXPECT_LE(cache.allocatedSets(), kSets / 2)
+            << "the untouched upper half must stay unallocated";
+    }
+}
+
+/** One write-back or persistence notification, for comparison. */
+struct WriteBackRec
+{
+    Addr line;
+    std::uint8_t firstByte;
+    bool operator==(const WriteBackRec &) const = default;
+};
+
+/** Dense reference DRAM cache: the pre-sparse DramCache, kept minimal. */
+class DenseDramCache
+{
+  public:
+    DenseDramCache(std::uint64_t sets, unsigned ways)
+        : _sets(sets), _ways(ways), _entries(sets * ways)
+    {
+    }
+
+    DramCacheEntry *
+    peek(Addr line_base)
+    {
+        DramCacheEntry *set = setOf(line_base);
+        for (unsigned w = 0; w < _ways; ++w)
+            if (set[w].valid && set[w].tag == line_base)
+                return &set[w];
+        return nullptr;
+    }
+
+    DramCacheEntry *
+    lookup(Addr line_base)
+    {
+        DramCacheEntry *e = peek(line_base);
+        if (e && !e->invalidated) {
+            ++stats.hits;
+            e->lru = ++_clock;
+            return e;
+        }
+        ++stats.misses;
+        return nullptr;
+    }
+
+    DramCacheEntry *
+    insert(Addr line_base, TxId tx)
+    {
+        if (DramCacheEntry *e = peek(line_base)) {
+            if (e->tx != tx && !e->invalidated && e->tx == kNoTx &&
+                e->dirty) {
+                writeBack(*e);
+                e->dirty = false;
+            }
+            e->tx = tx;
+            e->invalidated = false;
+            e->lru = ++_clock;
+            return e;
+        }
+        DramCacheEntry *set = setOf(line_base);
+        DramCacheEntry *victim = nullptr;
+        for (unsigned w = 0; w < _ways && !victim; ++w)
+            if (!set[w].valid)
+                victim = &set[w];
+        for (unsigned w = 0; w < _ways && !victim; ++w)
+            if (set[w].invalidated)
+                victim = &set[w];
+        if (!victim) {
+            for (unsigned w = 0; w < _ways; ++w)
+                if (set[w].tx == kNoTx &&
+                    (!victim || set[w].lru < victim->lru))
+                    victim = &set[w];
+        }
+        if (!victim) {
+            for (unsigned w = 0; w < _ways; ++w)
+                if (!victim || set[w].lru < victim->lru)
+                    victim = &set[w];
+        }
+        if (victim->valid) {
+            ++stats.evictions;
+            if (victim->invalidated) {
+            } else if (victim->tx != kNoTx) {
+                ++stats.uncommittedDrops;
+            } else if (victim->dirty) {
+                writeBack(*victim);
+            }
+        }
+        *victim = DramCacheEntry{};
+        victim->valid = true;
+        victim->tag = line_base;
+        victim->tx = tx;
+        victim->lru = ++_clock;
+        return victim;
+    }
+
+    bool
+    commitEntry(Addr line_base, TxId tx,
+                const std::array<std::uint8_t, kLineBytes> &data)
+    {
+        DramCacheEntry *e = peek(line_base);
+        if (!e || e->tx != tx || e->invalidated)
+            return false;
+        e->data = data;
+        e->tx = kNoTx;
+        e->dirty = true;
+        return true;
+    }
+
+    void
+    invalidateEntry(Addr line_base, TxId tx)
+    {
+        if (DramCacheEntry *e = peek(line_base); e && e->tx == tx) {
+            e->invalidated = true;
+            ++stats.invalidations;
+        }
+    }
+
+    void
+    abortTx(TxId tx)
+    {
+        for (DramCacheEntry &e : _entries) {
+            if (e.valid && e.tx == tx) {
+                e.invalidated = true;
+                ++stats.invalidations;
+            }
+        }
+    }
+
+    void
+    flushAll()
+    {
+        for (DramCacheEntry &e : _entries) {
+            if (e.valid && !e.invalidated && e.tx == kNoTx && e.dirty) {
+                writeBack(e);
+                e.dirty = false;
+            }
+        }
+    }
+
+    template <typename Fn>
+    void
+    forEach(Fn &&fn)
+    {
+        for (DramCacheEntry &e : _entries)
+            if (e.valid)
+                fn(e);
+    }
+
+    DramCache::Stats stats;
+    std::vector<WriteBackRec> writeBacks;
+
+  private:
+    DramCacheEntry *
+    setOf(Addr line_base)
+    {
+        return &_entries[(lineNumber(line_base) & (_sets - 1)) * _ways];
+    }
+
+    void
+    writeBack(const DramCacheEntry &e)
+    {
+        ++stats.writeBacks;
+        writeBacks.push_back({e.tag, e.data[0]});
+    }
+
+    std::uint64_t _sets;
+    unsigned _ways;
+    std::vector<DramCacheEntry> _entries;
+    std::uint64_t _clock = 0;
+};
+
+/** Visit order and per-entry state, for comparing two DRAM caches. */
+template <typename DC>
+std::vector<std::tuple<Addr, TxId, bool, bool, std::uint8_t>>
+dramCacheState(DC &dc)
+{
+    std::vector<std::tuple<Addr, TxId, bool, bool, std::uint8_t>> out;
+    dc.forEach([&](DramCacheEntry &e) {
+        out.emplace_back(e.tag, e.tx, e.dirty, e.invalidated, e.data[0]);
+    });
+    return out;
+}
+
+TEST(SparseSets, DramCacheMatchesDenseReference)
+{
+    constexpr std::uint64_t kSets = 256;
+    constexpr unsigned kWays = 4;
+    DramCache dc(kSets * kWays * kLineBytes, kWays);
+    DenseDramCache ref(kSets, kWays);
+    std::vector<WriteBackRec> wbs;
+    auto record_wb = [&](Addr line,
+                         const std::array<std::uint8_t, kLineBytes> &d) {
+        wbs.push_back({line, d[0]});
+    };
+    dc.setWriteBack(record_wb);
+
+    std::mt19937_64 rng(0xd4a3);
+    for (int step = 0; step < 20000; ++step) {
+        SCOPED_TRACE(step);
+        const Addr line = randomLine(rng, kSets);
+        const TxId tx = rng() % 4 == 0 ? kNoTx : 1 + rng() % 4;
+        switch (rng() % 16) {
+        case 0:
+        case 1:
+        case 2: {
+            DramCacheEntry *got = dc.lookup(line);
+            ASSERT_EQ(got != nullptr, ref.lookup(line) != nullptr);
+            break;
+        }
+        case 3:
+        case 4:
+        case 5: {
+            std::array<std::uint8_t, kLineBytes> data{};
+            data[0] = static_cast<std::uint8_t>(rng());
+            ASSERT_EQ(dc.commitEntry(line, tx, data),
+                      ref.commitEntry(line, tx, data));
+            break;
+        }
+        case 6:
+        case 7:
+            dc.invalidateEntry(line, tx);
+            ref.invalidateEntry(line, tx);
+            break;
+        case 8:
+            dc.abortTx(tx);
+            ref.abortTx(tx);
+            break;
+        case 9:
+            if (step % 8 == 0) {
+                dc.flushAll();
+                ref.flushAll();
+            }
+            break;
+        default: {
+            DramCacheEntry *got = dc.insert(line, tx);
+            DramCacheEntry *want = ref.insert(line, tx);
+            ASSERT_EQ(got->tag, want->tag);
+            ASSERT_EQ(got->tx, want->tx);
+            break;
+        }
+        }
+        ASSERT_EQ(wbs.size(), ref.writeBacks.size());
+        if (step % 1000 == 0) {
+            ASSERT_EQ(dramCacheState(dc), dramCacheState(ref));
+        }
+    }
+    const DramCache::Stats &a = dc.stats();
+    EXPECT_EQ(a.hits, ref.stats.hits);
+    EXPECT_EQ(a.misses, ref.stats.misses);
+    EXPECT_EQ(a.evictions, ref.stats.evictions);
+    EXPECT_EQ(a.uncommittedDrops, ref.stats.uncommittedDrops);
+    EXPECT_EQ(a.writeBacks, ref.stats.writeBacks);
+    EXPECT_EQ(a.invalidations, ref.stats.invalidations);
+    EXPECT_EQ(wbs, ref.writeBacks) << "same victims, same order";
+    EXPECT_EQ(dramCacheState(dc), dramCacheState(ref));
+    EXPECT_GT(a.evictions, 0u);
+    EXPECT_GT(a.uncommittedDrops, 0u);
+    EXPECT_GT(a.writeBacks, 0u);
+    EXPECT_LE(dc.allocatedSets(), kSets / 2)
+        << "the untouched upper half must stay unallocated";
 }
 
 } // namespace

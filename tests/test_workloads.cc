@@ -2,12 +2,13 @@
  * @file
  * Workload and harness integration tests: the hybrid key-value stores'
  * cross-memory consistency guarantees, Echo end-to-end, the LLC hog,
- * and Runner metrics.
+ * Runner metrics, and validated machine limits.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "harness/experiments.hh"
 #include "workloads/hog.hh"
@@ -217,6 +218,48 @@ TEST(Experiments, PaperSystemListCoversAllVariants)
     EXPECT_EQ(systems.size(), 7u);
     EXPECT_EQ(systems.front().label, "LLC-Bounded");
     EXPECT_EQ(systems.back().label, "Ideal");
+}
+
+TEST(MachineLimits, CoreCountOutsideSharerMaskThrows)
+{
+    for (unsigned cores : {0u, 65u}) {
+        MachineConfig m = MachineConfig::tiny();
+        m.cores = cores;
+        EventQueue eq;
+        EXPECT_THROW(HtmSystem(eq, m, HtmPolicy::uhtmOpt(512)),
+                     std::invalid_argument)
+            << cores << " cores";
+    }
+    MachineConfig m = MachineConfig::tiny();
+    m.cores = 64;
+    EventQueue eq;
+    EXPECT_NO_THROW(HtmSystem(eq, m, HtmPolicy::uhtmOpt(512)));
+}
+
+TEST(MachineLimits, ImpossibleCacheGeometryThrows)
+{
+    MachineConfig m = MachineConfig::tiny();
+    m.llcWays = 0;
+    EventQueue eq;
+    EXPECT_THROW(HtmSystem(eq, m, HtmPolicy::uhtmOpt(512)),
+                 std::invalid_argument);
+    m = MachineConfig::tiny();
+    m.dramCacheBytes = kLineBytes;
+    EXPECT_THROW(HtmSystem(eq, m, HtmPolicy::uhtmOpt(512)),
+                 std::invalid_argument);
+}
+
+TEST(MachineLimits, MoreWorkersThanCoresThrows)
+{
+    MachineConfig m = MachineConfig::tiny();
+    m.cores = 2;
+    Runner runner(m, HtmPolicy::uhtmOpt(512), 1);
+    const DomainId dom = runner.addDomain("d");
+    auto idle = [](TxContext &) -> CoTask<void> { co_return; };
+    runner.addWorker(dom, idle);
+    runner.addBackground(dom, idle);
+    EXPECT_THROW(runner.addWorker(dom, idle), std::invalid_argument);
+    EXPECT_THROW(runner.addBackground(dom, idle), std::invalid_argument);
 }
 
 } // namespace
