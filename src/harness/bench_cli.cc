@@ -419,22 +419,4 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
     return failed ? 1 : 0;
 }
 
-int
-benchMain(const char *figureName, int argc, char **argv)
-{
-    const figures::Figure *figure = figures::find(figureName);
-    if (!figure) {
-        std::fprintf(stderr, "unknown figure: %s\n", figureName);
-        return 2;
-    }
-    BenchCliOpts opts;
-    std::string err;
-    if (!parseBenchArgs(argc, argv, 1, opts, err)) {
-        std::fprintf(stderr, "%s\nusage: %s [flags]\n%s", err.c_str(),
-                     argv[0], benchFlagsHelp());
-        return 2;
-    }
-    return runFigure(*figure, opts);
-}
-
 } // namespace uhtm

@@ -1,11 +1,7 @@
 /**
  * @file
- * Shared command-line front end for the benchmark binaries.
- *
- * The ten `bench/bench_*` binaries used to copy-paste their argument
- * parsing and sweep loops; they are now thin wrappers over
- * benchMain(), and the unified `uhtm_bench` driver adds a subcommand
- * on top of the same flags:
+ * Command-line front end of `uhtm_bench <figure>`: one flag parser
+ * and sweep loop shared by every figure. The flags:
  *
  *   --jobs=N      worker threads (0/default: one per hardware thread)
  *   --seed=S      sweep seed (default 42)
@@ -96,12 +92,6 @@ const char *benchFlagsHelp();
  * any job failed).
  */
 int runFigure(const figures::Figure &figure, const BenchCliOpts &opts);
-
-/**
- * main() of a thin per-figure wrapper binary: parse flags, run the
- * named figure. @p figureName must exist in the registry.
- */
-int benchMain(const char *figureName, int argc, char **argv);
 
 } // namespace uhtm
 

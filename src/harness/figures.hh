@@ -12,9 +12,8 @@
  *   render(...)     — the figure's fixed-width table, computed from
  *                     the job results by key
  *
- * so the unified `uhtm_bench` driver, the thin per-figure wrapper
- * binaries and the in-process smoke tests all share one definition of
- * every experiment.
+ * so `uhtm_bench` and the in-process smoke tests share one definition
+ * of every experiment.
  */
 
 #ifndef UHTM_HARNESS_FIGURES_HH

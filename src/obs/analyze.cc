@@ -6,11 +6,13 @@
 #include "obs/analyze.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -718,9 +720,8 @@ writeChromeTrace(const std::vector<TraceData> &files,
         for (const Event &e : files[fi].events) {
             const double ts = us(e.tick);
             const std::uint64_t tid = e.core == kEvNoCore ? 999 : e.core;
-            char hexline[32];
-            std::snprintf(hexline, sizeof(hexline), "0x%" PRIx64,
-                          e.arg);
+            const std::string hexline =
+                eventHasLine(e) ? hexLine(e.arg) : std::string();
             switch (e.kind) {
               case EventKind::TxBegin:
                 open[e.tx] = OpenTx{e.tick, e.core};
@@ -835,6 +836,95 @@ writeChromeTrace(const std::vector<TraceData> &files,
     std::fwrite(body.data(), 1, body.size(), f);
     std::fclose(f);
     return true;
+}
+
+bool
+parseTraceLine(const std::string &text, Addr &out)
+{
+    const bool prefixed =
+        text.rfind("0x", 0) == 0 || text.rfind("0X", 0) == 0;
+    const char *const last = text.data() + text.size();
+    std::uint64_t v = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data() + (prefixed ? 2 : 0), last, v, 16);
+    if (ec != std::errc() || end != last || lineAlign(v) != v)
+        return false;
+    out = v;
+    return true;
+}
+
+void
+writeTextTrace(const std::vector<TraceData> &files, std::FILE *out,
+               std::optional<Addr> line)
+{
+    const auto cause = [](std::uint32_t c) {
+        return abortClassName(static_cast<AbortCause>(c));
+    };
+    for (std::size_t fi = 0; fi < files.size(); ++fi) {
+        for (const Event &e : files[fi].events) {
+            const bool on_line = eventHasLine(e);
+            if (line && !(on_line && e.arg == *line))
+                continue;
+            const bool flag0 = e.flags & kEvFlag0;
+            std::string detail = on_line ? " line=" + hexLine(e.arg) : "";
+            switch (e.kind) {
+              case EventKind::TxBegin:
+                detail = format(" domain=%" PRIu64 " attempt=%" PRIu32 "%s",
+                                e.arg, e.extra,
+                                flag0 ? " serialized" : "");
+                break;
+              case EventKind::TxCommitDone:
+                detail = format(" protocol_ticks=%" PRIu64, e.arg);
+                break;
+              case EventKind::TxAbort:
+                detail = format(" protocol_ticks=%" PRIu64 " cause=%s",
+                                e.arg, cause(e.extra));
+                break;
+              case EventKind::RedoLogAppend:
+                if (flag0)
+                    detail += " coalesced";
+                break;
+              case EventKind::DramCacheEvict:
+                detail += format(" reason=%s", evictReasonName(e.extra));
+                break;
+              case EventKind::SigCheckHit:
+                if (flag0)
+                    detail += " false-positive";
+                break;
+              case EventKind::TxConflict:
+                if (!on_line)
+                    detail = " line=none";
+                detail += format(" cause=%s", cause(e.extra));
+                break;
+              case EventKind::TxConflictBy:
+                detail = e.arg == kNoTx
+                             ? format(" by=none cause=%s", cause(e.extra))
+                             : format(" by=%" PRIu64 " cause=%s", e.arg,
+                                      cause(e.extra));
+                break;
+              case EventKind::TxLogDrain:
+                detail = format(" stall_ticks=%" PRIu64, e.arg);
+                break;
+              case EventKind::ReqBegin:
+              case EventKind::ReqEnd:
+                detail = format(" req=%" PRIu32 " tenant=%u %s=%" PRIu64,
+                                e.extra, static_cast<unsigned>(e.flags),
+                                e.kind == EventKind::ReqBegin ? "arrival"
+                                                              : "retries",
+                                e.arg);
+                break;
+              default:
+                break;
+            }
+            char core[8] = "-";
+            if (e.core != kEvNoCore)
+                std::snprintf(core, sizeof(core), "%u",
+                              static_cast<unsigned>(e.core));
+            std::fprintf(out, "%zu %" PRIu64 " core=%s tx=%" PRIu64 " %s%s\n",
+                         fi, e.tick, core, e.tx, eventKindName(e.kind),
+                         detail.c_str());
+        }
+    }
 }
 
 } // namespace uhtm::obs

@@ -28,7 +28,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -214,6 +216,25 @@ std::string analysisJson(const std::string &figure, const Analysis &a);
 bool writeChromeTrace(const std::vector<TraceData> &files,
                       const std::string &out_path,
                       std::string *err = nullptr);
+
+/**
+ * Parse a cache-line address for `uhtm_trace --text=LINE`: hex digits
+ * with an optional 0x prefix, at most 64 bits, kLineBytes-aligned.
+ * Empty, non-hex, trailing-junk, overlong or unaligned input is
+ * rejected and leaves @p out untouched.
+ */
+bool parseTraceLine(const std::string &text, Addr &out);
+
+/**
+ * Human-readable event log, one line per event in file order:
+ * `<file> <tick> core=<c> tx=<id> <kind> <arg/extra decoded>`, where
+ * <file> indexes @p files, ticks and durations are raw ticks,
+ * addresses are hex and abort causes use abortClassName; a conflict
+ * without a line prints `line=none`. With @p line set, only events that
+ * name that line (eventHasLine) are kept.
+ */
+void writeTextTrace(const std::vector<TraceData> &files, std::FILE *out,
+                    std::optional<Addr> line = std::nullopt);
 
 } // namespace uhtm::obs
 

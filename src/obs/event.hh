@@ -73,6 +73,19 @@ enum EvictReason : std::uint32_t
     kEvictClean = 3,           ///< committed clean data dropped
 };
 
+/** Printable EvictReason name ("?" for an unknown value). */
+inline const char *
+evictReasonName(std::uint32_t r)
+{
+    switch (r) {
+      case kEvictWriteBack: return "write-back";
+      case kEvictUncommittedDrop: return "uncommitted-drop";
+      case kEvictInvalidatedDrop: return "invalidated-drop";
+      case kEvictClean: return "clean";
+    }
+    return "?";
+}
+
 /** Event::flags bit 0 (meaning depends on kind, see EventKind). */
 inline constexpr std::uint8_t kEvFlag0 = 1u << 0;
 
@@ -89,6 +102,30 @@ struct Event
 };
 
 static_assert(sizeof(Event) == 32, "trace file format is fixed-size");
+
+/** True when @p e names a cache line in Event::arg: the kinds that
+ *  EventKind documents as arg=line, and a TxConflict unless arg=0
+ *  ("no line"). Used by the readers' `line` fields and the
+ *  `uhtm_trace --text=LINE` filter. */
+inline constexpr bool
+eventHasLine(const Event &e)
+{
+    switch (e.kind) {
+      case EventKind::TxOverflow:
+      case EventKind::RedoLogAppend:
+      case EventKind::UndoLogAppend:
+      case EventKind::DramCacheFill:
+      case EventKind::DramCacheEvict:
+      case EventKind::NvmWriteBack:
+      case EventKind::SigCheckHit:
+      case EventKind::SigCheckMiss:
+        return true;
+      case EventKind::TxConflict:
+        return e.arg != 0;
+      default:
+        return false;
+    }
+}
 
 /** Sentinel Event::core value for "no core". */
 inline constexpr std::uint16_t kEvNoCore = 0xffff;

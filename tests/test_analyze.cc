@@ -3,15 +3,21 @@
  * Causal-analyzer tests (DESIGN.md §14): trace-reader version
  * compatibility and strictness, killer attribution agreeing exactly
  * with the HTM statistics and the AbortProfiler's metrics counters,
- * deterministic ANALYSIS JSON across scheduler thread counts, and the
- * critical-path tiling invariant (stage sums == request sojourn).
+ * deterministic ANALYSIS JSON across scheduler thread counts, the
+ * critical-path tiling invariant (stage sums == request sojourn), and
+ * the text render behind `uhtm_trace --text[=LINE]`.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <optional>
 
 #include "exec/scheduler.hh"
 #include "harness/figures.hh"
@@ -436,6 +442,166 @@ TEST(Analyze, CriticalPathStagesTileEveryRequestSojournExactly)
                   static_cast<std::uint64_t>(ra.sojournTicks));
     }
     EXPECT_EQ(total, an.aggregate.requestsExact);
+    std::filesystem::remove_all(dir);
+}
+
+/** obs::writeTextTrace output, split into lines. */
+std::vector<std::string>
+textLines(const std::vector<obs::TraceData> &files,
+          std::optional<Addr> line = std::nullopt)
+{
+    std::FILE *f = std::tmpfile();
+    if (!f) {
+        ADD_FAILURE() << "tmpfile failed";
+        return {};
+    }
+    obs::writeTextTrace(files, f, line);
+    std::rewind(f);
+    std::vector<std::string> lines;
+    std::string cur;
+    for (int c; (c = std::fgetc(f)) != EOF;) {
+        if (c == '\n') {
+            lines.push_back(cur);
+            cur.clear();
+        } else {
+            cur.push_back(static_cast<char>(c));
+        }
+    }
+    std::fclose(f);
+    EXPECT_TRUE(cur.empty()) << "unterminated last line";
+    return lines;
+}
+
+TEST(TextTrace, OneLinePerEventAndLineFilterFollowsOneLine)
+{
+    EventQueue eq;
+    HtmSystem sys(eq, MachineConfig::tiny(), HtmPolicy::uhtmOpt(2048));
+    obs::Tracer tr; // memory mode
+    sys.setTracer(&tr);
+    const DomainId dom = sys.createDomain("p0");
+    constexpr Addr kBase = MemLayout::kNvmBase + 0x10000;
+
+    // Core 0 writes past the LLC: the first line evicted moves its
+    // transaction off chip, and TxOverflow names that line.
+    TxDesc *big = sys.beginTx(0, dom, 0);
+    const std::uint64_t n = sys.llc().capacityLines() + sys.llc().ways();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        sys.issueAccess(0, dom, kBase + i * kLineBytes, true, false, 1);
+        eq.run();
+    }
+    ASSERT_TRUE(big->overflowed);
+    Addr hot = 0;
+    for (const obs::Event &e : tr.events())
+        if (e.kind == obs::EventKind::TxOverflow)
+            hot = e.arg;
+    ASSERT_NE(hot, 0u) << "TxOverflow must carry the evicted line";
+
+    // Core 1 writes that line: an off-chip signature hit, so the two
+    // transactions conflict on it.
+    TxDesc *req = sys.beginTx(1, dom, 0);
+    sys.issueAccess(1, dom, hot, true, false, 2);
+    eq.run();
+    ASSERT_TRUE(req->abortRequested || big->abortRequested);
+
+    const obs::TraceData td = traceDataOf(tr, 11);
+    ASSERT_LT(td.events.size(), std::size_t{1} << 16) << "ring wrapped";
+
+    // Unfiltered: exactly one line per event, in file order.
+    const auto all = textLines({td});
+    ASSERT_EQ(all.size(), td.events.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const std::string kind =
+            std::string(" ") + obs::eventKindName(td.events[i].kind);
+        EXPECT_NE(all[i].find(kind), std::string::npos) << all[i];
+    }
+
+    // Filtered: only events naming the line, among them its overflow
+    // and its conflict.
+    char name[32];
+    std::snprintf(name, sizeof(name), "line=0x%llx",
+                  static_cast<unsigned long long>(hot));
+    const auto mine = textLines({td}, hot);
+    ASSERT_FALSE(mine.empty());
+    bool overflow = false, conflict = false;
+    for (const std::string &l : mine) {
+        EXPECT_NE(l.find(name), std::string::npos) << l;
+        overflow |= l.find(" overflow ") != std::string::npos;
+        conflict |= l.find(" conflict ") != std::string::npos;
+    }
+    EXPECT_TRUE(overflow) << "missing the overflow of " << name;
+    EXPECT_TRUE(conflict) << "missing the conflict on " << name;
+}
+
+TEST(TextTrace, LineParserRejectsMalformedInput)
+{
+    Addr a = 0;
+    EXPECT_TRUE(obs::parseTraceLine("0x1f40", a));
+    EXPECT_EQ(a, 0x1f40u);
+    EXPECT_TRUE(obs::parseTraceLine("0XFFFFFFFFFFFFFFC0", a));
+    EXPECT_EQ(a, 0xffffffffffffffc0ull);
+    EXPECT_TRUE(obs::parseTraceLine("000000000000000000040", a))
+        << "leading zeros add no bits";
+    EXPECT_EQ(a, 0x40u);
+
+    for (const char *bad :
+         {"x40", "zz", "0x4g", "0x40junk", "40 ", " 40", "-40", "+40",
+          "0x10000000000000000", "fffffffffffffffff", "0x41"}) {
+        EXPECT_FALSE(obs::parseTraceLine(bad, a)) << "'" << bad << "'";
+        EXPECT_EQ(a, 0x40u) << "a rejected LINE must not write the output";
+    }
+}
+
+TEST(TextTrace, LineParserRejectsEmptyInput)
+{
+    Addr a = 0x40;
+    for (const char *bad : {"", "0x", "0X", "x", " "}) {
+        EXPECT_FALSE(obs::parseTraceLine(bad, a)) << "'" << bad << "'";
+        EXPECT_EQ(a, 0x40u) << "a rejected LINE must not write the output";
+    }
+}
+
+TEST(TextTrace, ToolExitsTwoOnMalformedLine)
+{
+    const std::string dir = tempDir("uhtm_text_tool");
+    const std::string path = dir + "/t.uhtmtrace";
+    std::string bytes;
+    const auto h = makeHeader(obs::kTraceVersion, sizeof(obs::Event), 3);
+    bytes.append(reinterpret_cast<const char *>(&h), sizeof(h));
+    const obs::Event evs[3] = {
+        makeEvent(obs::EventKind::TxBegin, 100, 1, 0),
+        makeEvent(obs::EventKind::DramCacheFill, 150, 1, 0x1f40),
+        makeEvent(obs::EventKind::TxConflict, 160, 1, 0), // no line
+    };
+    bytes.append(reinterpret_cast<const char *>(evs), sizeof(evs));
+    writeFile(path, bytes.data(), bytes.size());
+
+    const auto run = [&](const std::string &flag) {
+        const std::string cmd = std::string(UHTM_TOOLS_DIR) +
+                                "/uhtm_trace " + path + " " + flag +
+                                " > " + dir + "/out.txt 2>/dev/null";
+        const int rc = std::system(cmd.c_str());
+        return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+    };
+    const auto outLines = [&] {
+        std::ifstream in(dir + "/out.txt");
+        std::vector<std::string> lines;
+        for (std::string l; std::getline(in, l);)
+            lines.push_back(l);
+        return lines;
+    };
+    EXPECT_EQ(run("--text"), 0);
+    const auto all = outLines();
+    ASSERT_EQ(all.size(), 3u);
+    EXPECT_NE(all[2].find(" conflict line=none "), std::string::npos)
+        << all[2];
+    EXPECT_EQ(run("--text=0x1f40"), 0);
+    EXPECT_EQ(outLines().size(), 1u);
+    // LINE 0 is well formed, but a conflict's arg=0 names no line.
+    EXPECT_EQ(run("--text=0"), 0);
+    EXPECT_TRUE(outLines().empty());
+    for (const char *bad : {"--text=", "--text=zz", "--text=0x40junk",
+                            "--text=0x10000000000000000"})
+        EXPECT_EQ(run(bad), 2) << bad;
     std::filesystem::remove_all(dir);
 }
 

@@ -10,10 +10,13 @@
  *   - optimization safety: hot-path rewrites (flat containers, summary
  *     signatures, page memos) must not change any simulated outcome.
  *
- * If a change is *intended* to alter results, regenerate the goldens
- * (and the bench/baseline/ files) with:
+ * If a change is *intended* to alter results, regenerate the BENCH
+ * goldens with:
  *   ./build/tools/uhtm_bench all --tiny --jobs=4 --seed=42 \
  *       --out=bench/golden/tiny
+ *   ./build/tools/uhtm_bench all --quick --jobs=4 --seed=42 \
+ *       --out=bench/golden/quick
+ * and the METRICS/ANALYSIS sidecars as DESIGN.md §8 describes.
  */
 
 #include <gtest/gtest.h>
@@ -92,7 +95,7 @@ TEST_P(GoldenFigure, TinyJsonMatchesCommittedGolden)
     EXPECT_TRUE(json == golden)
         << "byte-level mismatch against " << goldenPath(sink.fileName())
         << " — simulated results changed; if intended, regenerate the "
-           "goldens and bench/baseline/";
+           "goldens under bench/golden/";
 }
 
 std::vector<std::string>

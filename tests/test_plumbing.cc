@@ -97,14 +97,17 @@ TEST(CoTask, ValuesAndExceptionsPropagate)
     };
     int got = 0;
     bool caught = false;
-    auto root = [&](bool &c) -> Task {
+    // Named: the coroutine frame refers to the capturing closure, which
+    // must outlive it.
+    auto root_fn = [&](bool &c) -> Task {
         got = co_await leaf(21);
         try {
             co_await thrower();
         } catch (const TxAborted &) {
             c = true;
         }
-    }(caught);
+    };
+    auto root = root_fn(caught);
     root.start();
     eq.run();
     EXPECT_EQ(got, 42);
@@ -115,7 +118,6 @@ TEST(CoTask, DeepRecursionThroughCoroutines)
 {
     // Recursive CoTask calls (as the B+tree validator uses) must chain
     // through symmetric transfer without growing the host stack.
-    std::function<CoTask<std::uint64_t>(std::uint64_t)> fib_fn;
     struct Fib
     {
         static CoTask<std::uint64_t>
@@ -127,7 +129,8 @@ TEST(CoTask, DeepRecursionThroughCoroutines)
         }
     };
     std::uint64_t out = 0;
-    auto root = [&]() -> Task { out = co_await Fib::run(15); }();
+    auto root_fn = [&]() -> Task { out = co_await Fib::run(15); };
+    auto root = root_fn();
     root.start();
     EXPECT_EQ(out, 610u);
 }

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "harness/experiments.hh"
 #include "workloads/hog.hh"
@@ -247,6 +248,28 @@ TEST(MachineLimits, ImpossibleCacheGeometryThrows)
     m.dramCacheBytes = kLineBytes;
     EXPECT_THROW(HtmSystem(eq, m, HtmPolicy::uhtmOpt(512)),
                  std::invalid_argument);
+}
+
+TEST(MachineLimits, InvalidConflictPolicyThrows)
+{
+    EventQueue eq;
+    HtmPolicy p = HtmPolicy::uhtmOpt(512);
+    p.conflict.retryBudget = -1;
+    try {
+        HtmSystem sys(eq, MachineConfig::tiny(), p);
+        ADD_FAILURE() << "negative retry budget accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("retry budget"),
+                  std::string::npos)
+            << e.what();
+    }
+    p = HtmPolicy::uhtmOpt(512);
+    p.conflict.backoffBaseNs = 1000;
+    p.conflict.backoffMaxNs = 10;
+    EXPECT_THROW(HtmSystem(eq, MachineConfig::tiny(), p),
+                 std::invalid_argument);
+    p.conflict.backoffMaxNs = 1000;
+    EXPECT_NO_THROW(HtmSystem(eq, MachineConfig::tiny(), p));
 }
 
 TEST(MachineLimits, MoreWorkersThanCoresThrows)

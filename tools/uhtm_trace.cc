@@ -7,6 +7,7 @@
  *
  * Usage:
  *   uhtm_trace <trace.uhtmtrace | dir>... [--chrome out.json]
+ *   uhtm_trace <trace.uhtmtrace | dir>... --text[=LINE]
  *
  * Prints, across all input files:
  *   - an event-kind inventory;
@@ -22,6 +23,11 @@
  * killer→victim conflict flow arrows (trace v2). pid = input file (one
  * simulated machine each), tid = core.
  *
+ * With --text, prints only the human-readable event log instead: one
+ * line per event in file order (obs::writeTextTrace). --text=LINE keeps
+ * the events on one cache line (hex, line-aligned); a malformed LINE
+ * exits 2.
+ *
  * Accepts any trace version in [kTraceVersionMin, kTraceVersion]; a
  * record with an out-of-range event kind is a hard error (corrupt or
  * future-format file), not a silent truncation.
@@ -32,6 +38,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -77,8 +84,13 @@ printHistogram(const char *title, const Distribution &d)
 int
 main(int argc, char **argv)
 {
+    static const char *const kUsage =
+        "usage: uhtm_trace <trace.uhtmtrace | dir>... "
+        "[--chrome out.json | --text[=LINE]]\n";
     std::vector<std::string> inputs;
     std::string chrome_out;
+    bool text = false;
+    std::optional<Addr> text_line;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--chrome") {
@@ -89,9 +101,21 @@ main(int argc, char **argv)
             chrome_out = argv[++i];
         } else if (arg.rfind("--chrome=", 0) == 0) {
             chrome_out = arg.substr(9);
+        } else if (arg == "--text") {
+            text = true;
+        } else if (arg.rfind("--text=", 0) == 0) {
+            Addr line = 0;
+            if (!obs::parseTraceLine(arg.substr(7), line)) {
+                std::fprintf(stderr,
+                             "uhtm_trace: --text=LINE needs a %u-byte "
+                             "aligned hex line address, got '%s'\n",
+                             kLineBytes, arg.c_str() + 7);
+                return 2;
+            }
+            text = true;
+            text_line = line;
         } else if (arg == "--help" || arg == "-h") {
-            std::printf("usage: uhtm_trace <trace.uhtmtrace | dir>... "
-                        "[--chrome out.json]\n");
+            std::printf("%s", kUsage);
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
@@ -100,10 +124,8 @@ main(int argc, char **argv)
             inputs.push_back(arg);
         }
     }
-    if (inputs.empty()) {
-        std::fprintf(stderr,
-                     "usage: uhtm_trace <trace.uhtmtrace | dir>... "
-                     "[--chrome out.json]\n");
+    if (inputs.empty() || (text && !chrome_out.empty())) {
+        std::fprintf(stderr, "%s", kUsage);
         return 2;
     }
 
@@ -120,6 +142,10 @@ main(int argc, char **argv)
     if (files.empty()) {
         std::fprintf(stderr, "uhtm_trace: no trace files found\n");
         return 1;
+    }
+    if (text) {
+        obs::writeTextTrace(files, stdout, text_line);
+        return 0;
     }
 
     // ---- inventory ----
