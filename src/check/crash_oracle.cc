@@ -1,5 +1,6 @@
 #include "check/crash_oracle.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -15,8 +16,8 @@ CrashOracle::ledgerFor(Addr line)
     auto it = _lines.find(line);
     if (it == _lines.end()) {
         // First sighting: the durable image still holds the pre-run /
-        // pre-write value (the InPlaceNvmWrite probe fires before the
-        // page update), which becomes the baseline.
+        // pre-write value (an InPlaceNvmWrite is reported at issue,
+        // before it is queued), which becomes the baseline.
         it = _lines.emplace(line, LineLedger{}).first;
         _sys.durableNvm().readLine(line, it->second.baseline.data());
     }
@@ -77,10 +78,20 @@ CrashOracle::onPersist(const PersistEvent &ev, const std::uint8_t *bytes)
                              "uncommitted bytes written to in-place NVM");
             }
         }
+        // Writes are reported at issue, so completion ticks can arrive
+        // out of order. Insert after every version completing no later
+        // than this one: the list stays in (completion tick, report
+        // order), the order in which the durable image applies them.
         DurableVersion v;
         v.tick = ev.completeAt;
         std::memcpy(v.bytes.data(), bytes, kLineBytes);
-        led.durables.push_back(v);
+        led.durables.insert(
+            std::upper_bound(led.durables.begin(), led.durables.end(),
+                             v.tick,
+                             [](Tick t, const DurableVersion &d) {
+                                 return t < d.tick;
+                             }),
+            v);
         break;
       }
       default:

@@ -22,8 +22,8 @@ FaultInjector::notifyPersist(PersistPoint point, Addr line,
 
     if (_armed && ev.index == _crashAt) {
         // The power failure takes effect when this point's write
-        // completes: everything ordered before it is durable, every
-        // in-flight write after it is lost (its event never runs).
+        // completes: every effect whose completion tick is <= that
+        // tick is durable, every later one is lost.
         _eq.scheduleAt(at, [this] {
             _crashed = true;
             _crashTick = _eq.now();

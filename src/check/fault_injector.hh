@@ -103,9 +103,9 @@ class FaultInjector : public PersistProbe
 
     /**
      * Arm a crash at schedule point @p k: when point k is issued, a
-     * power failure is scheduled at its completion tick (the event
-     * queue freezes there; pending events are lost, exactly like
-     * in-flight writes on a real power cut).
+     * power failure is scheduled at its completion tick T (the event
+     * queue freezes there). Effects that complete by T are durable;
+     * later ones are lost, like in-flight writes on a real power cut.
      */
     void
     armCrashAt(std::uint64_t k)

@@ -35,7 +35,8 @@ enum class PersistPoint
     DramCacheWriteback,
     /** DRAM-cache eviction dropping an uncommitted line. */
     DramCacheDrop,
-    /** In-place NVM line write completing (durable image update). */
+    /** In-place NVM line write (durable image update), reported at
+     *  issue; complete_at is its completion, when it becomes durable. */
     InPlaceNvmWrite,
     /** DRAM undo-log record append (old value logged). */
     UndoLogAppend,

@@ -89,22 +89,17 @@ void
 HtmSystem::enqueueDurableWrite(
     Addr line, Tick due, const std::array<std::uint8_t, kLineBytes> &bytes)
 {
+    // Reported at issue, before the write is queued, so a first
+    // sighting of the line still reads the pre-write durable image.
     if (_faultInjector) {
-        // Legacy per-line event: the crash-sweep oracle depends on the
-        // exact same-tick ordering of these writes against the
-        // injector's persistence probes.
-        auto copy = bytes;
-        _eq.scheduleAt(due, [this, line, copy] {
-            _durableNvm.writeLine(line, copy.data());
-        });
-        return;
+        _faultInjector->notifyPersist(PersistPoint::InPlaceNvmWrite, line,
+                                      due, bytes.data());
     }
-    // Event-free batch: appended in seq order, applied in (due, seq)
+    // Event-free batch: appended in order, applied in (due, append)
     // order at the next observation of the durable image. A large
     // batch flushes its already-due prefix opportunistically so memory
     // stays bounded on long runs that never observe the image.
-    _durablePending.push_back(
-        DurablePending{due, _durableSeq++, line, bytes});
+    _durablePending.push_back(DurablePending{due, line, bytes});
     if (_durablePending.size() >= kDurableFlushBatch)
         flushDurableWrites(_eq.now());
 }
@@ -115,10 +110,10 @@ HtmSystem::flushDurableWrites(Tick upTo)
     if (_durablePending.empty())
         return;
     UHTM_SELF_PROFILE_SCOPE(LogDrain);
-    // The batch is in seq (append) order; keep that order among the
+    // The batch is in append order; keep that order among the
     // not-yet-due survivors and apply the due entries sorted stably by
-    // due — i.e. in (due, seq) order, exactly the order the per-line
-    // events fired in, so the last write to a line still wins.
+    // due — i.e. in (due, append) order, so the last write to a line
+    // wins.
     auto mid = std::stable_partition(
         _durablePending.begin(), _durablePending.end(),
         [upTo](const DurablePending &p) { return p.due <= upTo; });
@@ -367,28 +362,9 @@ void
 HtmSystem::setFaultInjector(FaultInjector *fi)
 {
     _faultInjector = fi;
-    if (fi && !_durablePending.empty()) {
-        // Convert queued coalesced writes into the per-line events the
-        // injected-crash path expects, preserving (due, seq) order.
-        std::sort(_durablePending.begin(), _durablePending.end(),
-                  [](const DurablePending &a, const DurablePending &b) {
-                      if (a.due != b.due)
-                          return a.due < b.due;
-                      return a.seq < b.seq;
-                  });
-        for (const DurablePending &p : _durablePending) {
-            const Addr line = p.line;
-            const auto bytes = p.bytes;
-            _eq.scheduleAt(p.due, [this, line, bytes] {
-                _durableNvm.writeLine(line, bytes.data());
-            });
-        }
-        _durablePending.clear();
-    }
     _redoLog.setProbe(fi);
     _undoLog.setProbe(fi);
     _dramCache.setProbe(fi);
-    _durableNvm.setProbe(fi);
 }
 
 BackingStore

@@ -277,10 +277,12 @@ class HtmSystem
     BackingStore recoverAfterCrash();
 
     /**
-     * Durable in-place NVM image (pre-replay), for tests. Applies any
-     * queued lazy write-backs first (see flushDurableWrites): all of
-     * them once the run has drained, only those due by the current tick
-     * while events are still pending (crash semantics).
+     * Durable in-place NVM image (pre-replay), for tests and the crash
+     * oracle. Applies any queued lazy write-backs first (see
+     * flushDurableWrites): all of them once the run has drained, only
+     * those due by the current tick while events are still pending or
+     * a crash froze the queue — a write is durable at crash tick T
+     * exactly when its completion tick is <= T.
      */
     const BackingStore &
     durableNvm()
@@ -291,9 +293,10 @@ class HtmSystem
 
     /**
      * Attach (or with nullptr detach) a crash-point fault injector:
-     * wires the persistence probes of the logs, the DRAM cache and the
-     * durable NVM image, and enables transaction-outcome reports from
-     * the commit/abort protocols.
+     * wires the persistence probes of the logs and the DRAM cache, and
+     * enables in-place NVM write reports and transaction-outcome
+     * reports from the commit/abort protocols. Attach it before the
+     * run: writes queued earlier were never reported.
      */
     void setFaultInjector(FaultInjector *fi);
 
@@ -467,21 +470,18 @@ class HtmSystem
 
     /**
      * Queue a durable in-place NVM image update of @p bytes at tick
-     * @p due. Without a fault injector attached, updates are fully
-     * event-free: entries append to a batch that is applied in
-     * (due, seq) order either when it reaches kDurableFlushBatch
-     * entries (only those already due) or at the next observation of
-     * the durable image (durableNvm(), recoverAfterCrash(),
-     * setFaultInjector()) — no event per line, no drain events at all.
-     * With a fault injector, the legacy per-line events are kept (crash
-     * sweeps depend on their exact same-tick sequencing against the
-     * injector's probes).
+     * @p due. Updates are event-free: entries append to a batch that
+     * is applied in (due, append) order either when it reaches
+     * kDurableFlushBatch entries (only those already due) or at the
+     * next observation of the durable image (durableNvm(),
+     * recoverAfterCrash()). An attached fault injector is told of the
+     * write here, at issue, with @p due as its completion tick.
      */
     void enqueueDurableWrite(Addr line, Tick due,
                              const std::array<std::uint8_t, kLineBytes> &bytes);
 
-    /** Apply queued durable writes with due <= @p upTo, in (due, seq)
-     *  order (last write to a line wins, as the per-line events did). */
+    /** Apply queued durable writes with due <= @p upTo, in (due,
+     *  append) order (last write to a line wins). */
     void flushDurableWrites(Tick upTo);
 
     /**
@@ -550,15 +550,13 @@ class HtmSystem
     struct DurablePending
     {
         Tick due;
-        std::uint64_t seq; ///< enqueue order; later wins on tick ties
         Addr line;
         std::array<std::uint8_t, kLineBytes> bytes;
     };
 
-    /** Pending batch, always in seq (append) order; flushed in
-     *  (due, seq) order by flushDurableWrites(). */
+    /** Pending batch, in append order (later wins on due ties);
+     *  flushed in (due, append) order by flushDurableWrites(). */
     std::vector<DurablePending> _durablePending;
-    std::uint64_t _durableSeq = 0;
     /** Batch size that triggers an opportunistic already-due flush. */
     static constexpr std::size_t kDurableFlushBatch = 4096;
 

@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
+
 #include "harness/crash_sweep.hh"
 
 namespace uhtm
@@ -166,6 +171,36 @@ TEST(CrashSweep, SweepTracksTornEntriesOnlyWhenBroken)
     cfg.breakCommitMarkOrdering = true;
     CrashSweepRunner bad(cfg, CrashSweepRunner::kvHybridWorkload());
     EXPECT_FALSE(bad.sweep().passed());
+}
+
+TEST(CrashSweepTool, ExitsTwoOnMalformedNumber)
+{
+    // Runs the built CLI; stdout is captured so an accepted value can
+    // be checked to replay exactly the point it names.
+    const auto run = [](const std::string &args, std::string *out) {
+        const std::string cmd = std::string(UHTM_TOOLS_DIR) +
+                                "/crash_sweep " + args + " 2>/dev/null";
+        FILE *p = popen(cmd.c_str(), "r");
+        if (!p)
+            return -1;
+        out->clear();
+        char buf[256];
+        while (std::fgets(buf, sizeof(buf), p))
+            *out += buf;
+        const int rc = pclose(p);
+        return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+    };
+    std::string out;
+    for (const char *bad :
+         {"--crash-at=", "--crash-at=abc", "--crash-at=12junk",
+          "--crash-at=-1", "--crash-at=0x10", "--seed=", "--stride=+3",
+          "--crash-at=18446744073709551616"}) {
+        EXPECT_EQ(run(bad, &out), 2) << bad;
+        EXPECT_EQ(out, "") << bad << ": nothing may run";
+    }
+    EXPECT_EQ(run("--workload=btree --crash-at=12", &out), 0);
+    EXPECT_NE(out.find("replay btree crash-at=12: "), std::string::npos)
+        << out;
 }
 
 } // namespace

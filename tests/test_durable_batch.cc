@@ -1,18 +1,20 @@
 /**
  * @file
  * Batched lazy-NVM maintenance tests: the event-free durable-write
- * batch (see HtmSystem::enqueueDurableWrite / flushDurableWrites) must
- * be observationally identical to the legacy one-event-per-line drain
- * it replaced — same (due, seq) application order (last write to a
- * line wins), crash semantics at mid-run observation (only writes due
- * by the frozen tick are visible), and no dependence of the final
- * image or stats on how often the image is observed.
+ * batch (see HtmSystem::enqueueDurableWrite / flushDurableWrites) is
+ * the simulator's only durable-write path, with or without a fault
+ * injector attached. It must apply writes in (due, append) order (last
+ * write to a line wins), follow the crash rule that a write is durable
+ * at crash tick T exactly when its completion tick is <= T, and not
+ * let the final image, the stats or simulated time depend on how often
+ * the image is observed or on whether crash points are being recorded.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "check/fault_injector.hh"
 #include "htm/tx_context.hh"
 
 namespace uhtm
@@ -50,7 +52,7 @@ TEST(DurableBatch, LastWriteToALineWins)
     f.write(kNvm + 8, 7); // same line, different word
     f.write(kNvm, 3);
     // All queued updates are due once the run drained; application in
-    // (due, seq) order means the final values are the last ones.
+    // (due, append) order means the final values are the last ones.
     EXPECT_EQ(f.sys.durableNvm().read64(kNvm), 3u);
     EXPECT_EQ(f.sys.durableNvm().read64(kNvm + 8), 7u);
 }
@@ -119,6 +121,112 @@ TEST(DurableBatch, LargeBatchesStayBoundedAndComplete)
         EXPECT_EQ(f.sys.durableNvm().read64(kNvm + static_cast<Addr>(i) *
                                                        kLineBytes),
                   static_cast<std::uint64_t>(i) + 1);
+}
+
+TEST(DurableBatch, FaultInjectorRunsTheSamePath)
+{
+    // Crash sweeps attach a FaultInjector, benchmarks do not; both must
+    // drive one durable-write path. The same store sequence must give
+    // the same durable image at every observation, and the same
+    // simulated time, with and without the injector.
+    Fixture plain, probed;
+    FaultInjector fi(probed.eq);
+    probed.sys.setFaultInjector(&fi);
+    const auto sameImage = [&](const std::vector<Addr> &lines) {
+        for (Addr a : lines) {
+            ASSERT_EQ(plain.sys.durableNvm().read64(a),
+                      probed.sys.durableNvm().read64(a))
+                << "line " << a;
+        }
+        ASSERT_EQ(plain.eq.now(), probed.eq.now());
+    };
+
+    // Twice the LLC's lines: dirty LLC evictions write back to NVM and
+    // complete after the store that caused them.
+    const int kLines =
+        static_cast<int>(2 * MachineConfig::tiny().llcBytes / kLineBytes);
+    std::vector<Addr> lines;
+    for (int i = 0; i < kLines; ++i) {
+        lines.push_back(kNvm + static_cast<Addr>(i) * kLineBytes);
+        plain.write(lines.back(), 1000 + i);
+        probed.write(lines.back(), 1000 + i);
+        if (i % 128 == 0)
+            sameImage(lines);
+    }
+
+    // A committed transaction whose lines then leave the DRAM cache:
+    // those write-backs are issued with no event left to run.
+    constexpr int kTxLines = 8;
+    for (Fixture *f : {&plain, &probed}) {
+        TxContext ctx(f->sys, 0, f->dom, 1);
+        auto driver = [&]() -> Task {
+            co_await ctx.run([&](TxContext &c) -> CoTask<void> {
+                for (int i = 0; i < kTxLines; ++i)
+                    co_await c.write64(lines[i * 3], 0xbeef00u + i);
+            });
+        };
+        Task t = driver();
+        t.start();
+        f->eq.run();
+    }
+    sameImage(lines);
+    for (Fixture *f : {&plain, &probed}) {
+        f->sys.dramCache().flushAll();
+        f->eq.run();
+    }
+    sameImage(lines);
+    for (int i = 0; i < kTxLines; ++i)
+        EXPECT_EQ(probed.sys.durableNvm().read64(lines[i * 3]),
+                  0xbeef00u + i);
+    EXPECT_EQ(plain.sys.stats().commits, probed.sys.stats().commits);
+    EXPECT_GT(fi.countOf(PersistPoint::InPlaceNvmWrite),
+              static_cast<std::uint64_t>(kLines))
+        << "the injector must see every in-place write";
+    probed.sys.setFaultInjector(nullptr);
+}
+
+TEST(DurableBatch, WriteCompletingAtTheCrashTickIsDurable)
+{
+    // Like a redo record with durableAt == T, an in-place NVM write
+    // whose completion tick equals the crash tick T is durable; a
+    // later one is lost. Event-queue order at T must not matter.
+    Tick due = 0;
+    {
+        // Replay a crash at the first point, the write itself.
+        Fixture f;
+        FaultInjector fi(f.eq);
+        f.sys.setFaultInjector(&fi);
+        fi.armCrashAt(0);
+        f.sys.issueAccess(0, f.dom, kNvm, true, false, 42);
+        f.sys.issueAccess(0, f.dom, kNvm + kLineBytes, true, false, 43);
+        f.eq.run();
+        ASSERT_TRUE(fi.crashed());
+        ASSERT_EQ(fi.events().at(0).point, PersistPoint::InPlaceNvmWrite);
+        due = fi.events()[0].completeAt;
+        ASSERT_GT(fi.events().at(1).completeAt, due);
+        EXPECT_EQ(fi.crashTick(), due);
+        EXPECT_EQ(f.sys.durableNvm().read64(kNvm), 42u);
+        EXPECT_EQ(f.sys.durableNvm().read64(kNvm + kLineBytes), 0u)
+            << "a write completing after the crash must be lost";
+        EXPECT_EQ(f.sys.recoverAfterCrash().read64(kNvm), 42u);
+        f.sys.setFaultInjector(nullptr);
+    }
+    {
+        // Same write, but the power failure at T is queued before it is
+        // issued, so the crash runs first among the events at T.
+        Fixture f;
+        FaultInjector fi(f.eq);
+        f.sys.setFaultInjector(&fi);
+        f.eq.scheduleAt(due, [&] { f.eq.requestStop(); });
+        f.sys.issueAccess(0, f.dom, kNvm, true, false, 42);
+        ASSERT_EQ(fi.events().at(0).completeAt, due);
+        f.eq.run();
+        ASSERT_EQ(f.eq.now(), due);
+        EXPECT_EQ(f.sys.durableNvm().read64(kNvm), 42u)
+            << "durability must not depend on same-tick event order";
+        EXPECT_EQ(f.sys.recoverAfterCrash().read64(kNvm), 42u);
+        f.sys.setFaultInjector(nullptr);
+    }
 }
 
 } // namespace

@@ -14,9 +14,9 @@
  *   crash_sweep --list                          # dump the schedule
  */
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -45,13 +45,22 @@ usage(const char *argv0)
         argv0);
 }
 
+/**
+ * Match "<prefix>N". Returns false when @p arg does not start with
+ * @p prefix; otherwise sets @p bad unless N is a plain decimal that
+ * fits in 64 bits (no sign, no junk, not empty).
+ */
 bool
-parseU64(const char *arg, const char *prefix, std::uint64_t *out)
+parseU64(const char *arg, const char *prefix, std::uint64_t *out,
+         bool *bad)
 {
     const std::size_t n = std::strlen(prefix);
     if (std::strncmp(arg, prefix, n) != 0)
         return false;
-    *out = std::strtoull(arg + n, nullptr, 0);
+    const char *first = arg + n;
+    const char *last = first + std::strlen(first);
+    const auto [end, ec] = std::from_chars(first, last, *out);
+    *bad = ec != std::errc() || end != last;
     return true;
 }
 
@@ -89,13 +98,14 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
         std::uint64_t v = 0;
+        bool bad = false;
         if (std::strncmp(a, "--workload=", 11) == 0) {
             workload = a + 11;
-        } else if (parseU64(a, "--seed=", &v)) {
+        } else if (parseU64(a, "--seed=", &v, &bad)) {
             cfg.seed = v;
-        } else if (parseU64(a, "--stride=", &v)) {
+        } else if (parseU64(a, "--stride=", &v, &bad)) {
             cfg.fullImageStride = v;
-        } else if (parseU64(a, "--crash-at=", &v)) {
+        } else if (parseU64(a, "--crash-at=", &v, &bad)) {
             crash_at = v;
         } else if (std::strcmp(a, "--break-commit-order") == 0) {
             cfg.breakCommitMarkOrdering = true;
@@ -108,6 +118,12 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 0;
         } else {
+            usage(argv[0]);
+            return 2;
+        }
+        if (bad) {
+            std::fprintf(stderr, "not a decimal 64-bit number: '%s'\n",
+                         a);
             usage(argv[0]);
             return 2;
         }
