@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/json.hh"
 #include "exec/result_sink.hh"
 #include "exec/scheduler.hh"
 #include "obs/self_profile.hh"
@@ -68,14 +69,15 @@ sweepConfig(const BenchCliOpts &opts)
 }
 
 /**
- * Write the TIMING_<figure>.json host-timing sidecar. Everything in it
- * is host-dependent (wall clock, throughput), so it is deliberately
- * named outside the BENCH_* and METRICS_* golden globs and must never
- * be byte-compared.
+ * Write the TIMING_<figure>.json host-timing sidecar: the sweep's wall
+ * clock and throughput, and each job's host seconds by key. Everything
+ * in it is host-dependent, so it is deliberately named outside the
+ * BENCH_* and METRICS_* golden globs and must never be byte-compared.
  */
 bool
 writeTimingSidecar(const std::string &dir, const std::string &figure,
-                   double wall_seconds, std::size_t job_count,
+                   double wall_seconds,
+                   const std::vector<exec::JobResult> &results,
                    unsigned threads, std::uint64_t events,
                    std::string &err)
 {
@@ -93,21 +95,30 @@ writeTimingSidecar(const std::string &dir, const std::string &figure,
         err = "cannot open " + path;
         return false;
     }
-    const double eps =
-        wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds
-                           : 0.0;
-    std::fprintf(f,
-                 "{\n"
-                 "  \"figure\": \"%s\",\n"
-                 "  \"wall_seconds\": %.6f,\n"
-                 "  \"jobs\": %zu,\n"
-                 "  \"threads\": %u,\n"
-                 "  \"events_executed\": %llu,\n"
-                 "  \"events_per_second\": %.0f\n"
-                 "}\n",
-                 figure.c_str(), wall_seconds, job_count, threads,
-                 static_cast<unsigned long long>(events), eps);
-    if (std::fclose(f) != 0) {
+    exec::JsonWriter w;
+    w.beginObject();
+    w.field("figure", figure);
+    w.field("wall_seconds", wall_seconds);
+    w.field("jobs", static_cast<std::uint64_t>(results.size()));
+    w.field("threads", static_cast<std::uint64_t>(threads));
+    w.field("events_executed", events);
+    w.field("events_per_second",
+            wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds
+                               : 0.0);
+    w.key("job_host_seconds");
+    w.beginArray();
+    for (const exec::JobResult &r : results) {
+        w.beginObject();
+        w.field("key", r.key);
+        w.field("host_seconds", r.hostSeconds);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+    const std::string body = w.str() + "\n";
+    const bool wrote = std::fwrite(body.data(), 1, body.size(), f) ==
+                       body.size();
+    if (std::fclose(f) != 0 || !wrote) {
         err = "write failed: " + path;
         return false;
     }
@@ -387,8 +398,8 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
     if (opts.wall && !opts.outDir.empty()) {
         std::string terr;
         if (!writeTimingSidecar(opts.outDir, figure.name, wallSeconds,
-                                results.size(), scheduler.threads(),
-                                events, terr)) {
+                                results, scheduler.threads(), events,
+                                terr)) {
             std::fprintf(stderr, "timing emission failed: %s\n",
                          terr.c_str());
             return 1;

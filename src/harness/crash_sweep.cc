@@ -5,7 +5,6 @@
 #include <set>
 
 #include "workloads/btree.hh"
-#include "workloads/kv_hybrid.hh"
 
 namespace uhtm
 {
@@ -13,93 +12,104 @@ namespace uhtm
 namespace
 {
 
-std::vector<std::uint64_t>
-countsByKind(const FaultInjector &fi)
+/**
+ * One instrumented run of a JobSpec: its Runner with the FaultInjector
+ * and CrashOracle attached before the populate step, as in every
+ * crash sweep and replay.
+ */
+struct InstrumentedRun
 {
-    std::vector<std::uint64_t> counts(
-        static_cast<std::size_t>(PersistPoint::UndoCopyBack) + 1, 0);
-    for (const auto &e : fi.events())
-        ++counts[static_cast<std::size_t>(e.point)];
-    return counts;
-}
+    const JobSpec &spec;
+    const std::uint64_t seed;
+    Runner runner;
+    FaultInjector fi;
+    CrashOracle oracle;
+
+    InstrumentedRun(const JobSpec &s, const CrashSweepConfig &cfg)
+        : spec(s), seed(cfg.seed), runner(s.machine, s.policy, cfg.seed),
+          fi(runner.eventQueue()), oracle(runner.system())
+    {
+        runner.system().setBreakCommitMarkOrdering(
+            cfg.breakCommitMarkOrdering);
+        fi.setOracle(&oracle);
+        runner.system().setFaultInjector(&fi);
+    }
+
+    InstrumentedRun(const InstrumentedRun &) = delete;
+    InstrumentedRun &operator=(const InstrumentedRun &) = delete;
+
+    ~InstrumentedRun()
+    {
+        runner.system().setFaultInjector(nullptr);
+        runner.eventQueue().clearStop();
+    }
+
+    /** Populate and run to the end, or to the armed crash. */
+    void
+    run()
+    {
+        spec.populate(runner, seed);
+        runner.run();
+    }
+
+    /** Full oracle check now, recorded against crash point @p k. */
+    CrashSweepResult
+    check(std::uint64_t k)
+    {
+        oracle.checkCrashAt(runner.eventQueue().now(), true, k);
+
+        CrashSweepResult res;
+        res.points = fi.pointCount();
+        res.checks = oracle.checksRun();
+        res.linesTracked = oracle.linesTracked();
+        res.pointsByKind.assign(
+            static_cast<std::size_t>(PersistPoint::UndoCopyBack) + 1, 0);
+        for (const auto &e : fi.events())
+            ++res.pointsByKind[static_cast<std::size_t>(e.point)];
+        res.violations = oracle.violations();
+        return res;
+    }
+};
 
 } // namespace
 
 CrashSweepResult
 CrashSweepRunner::sweep()
 {
-    Runner r(_cfg.mcfg, _cfg.policy, _cfg.seed);
-    r.system().setBreakCommitMarkOrdering(_cfg.breakCommitMarkOrdering);
-
-    FaultInjector fi(r.eventQueue());
-    CrashOracle oracle(r.system());
-    fi.setOracle(&oracle);
-    r.system().setFaultInjector(&fi);
-
-    EventQueue &eq = r.eventQueue();
-    CrashOracle *op = &oracle;
+    InstrumentedRun rig(_spec, _cfg);
+    EventQueue &eq = rig.runner.eventQueue();
+    CrashOracle *op = &rig.oracle;
     const std::uint64_t stride =
         std::max<std::uint64_t>(1, _cfg.fullImageStride);
-    fi.setOnPoint([&eq, op, stride](const PersistEvent &ev,
-                                    const std::uint8_t *) {
+    rig.fi.setOnPoint([&eq, op, stride](const PersistEvent &ev,
+                                        const std::uint8_t *) {
         const bool full = ev.index % stride == 0;
         eq.scheduleAt(ev.completeAt, [&eq, op, ev, full] {
             op->checkCrashAt(eq.now(), full, ev.index);
         });
     });
 
-    _workload(r);
-    r.run();
-
+    rig.run();
     // Post-run check: with the machine quiesced, recovery must produce
     // exactly the committed state.
-    oracle.checkCrashAt(eq.now(), true, CrashOracle::kNoPoint);
-
-    CrashSweepResult res;
-    res.points = fi.pointCount();
-    res.checks = oracle.checksRun();
-    res.linesTracked = oracle.linesTracked();
-    res.pointsByKind = countsByKind(fi);
-    res.schedule = fi.events();
-    res.violations = oracle.violations();
-
-    r.system().setFaultInjector(nullptr);
+    CrashSweepResult res = rig.check(CrashOracle::kNoPoint);
+    res.schedule = rig.fi.events();
     return res;
 }
 
 CrashSweepResult
 CrashSweepRunner::replay(std::uint64_t k)
 {
-    Runner r(_cfg.mcfg, _cfg.policy, _cfg.seed);
-    r.system().setBreakCommitMarkOrdering(_cfg.breakCommitMarkOrdering);
-
-    FaultInjector fi(r.eventQueue());
-    CrashOracle oracle(r.system());
-    fi.setOracle(&oracle);
-    r.system().setFaultInjector(&fi);
-    fi.armCrashAt(k);
-
-    _workload(r);
-    r.run();
-
-    CrashSweepResult res;
-    res.points = fi.pointCount();
-    res.pointsByKind = countsByKind(fi);
-    if (fi.crashed()) {
-        res.crashTick = fi.crashTick();
-        oracle.checkCrashAt(r.eventQueue().now(), true, k);
-    } else {
-        // The schedule was shorter than k; nothing crashed and the run
-        // finished normally. Validate the final state anyway.
-        oracle.checkCrashAt(r.eventQueue().now(), true,
-                            CrashOracle::kNoPoint);
-    }
-    res.checks = oracle.checksRun();
-    res.linesTracked = oracle.linesTracked();
-    res.violations = oracle.violations();
-
-    r.system().setFaultInjector(nullptr);
-    r.eventQueue().clearStop();
+    InstrumentedRun rig(_spec, _cfg);
+    rig.fi.armCrashAt(k);
+    rig.run();
+    // When the schedule is shorter than k nothing crashed and the run
+    // finished normally; its final state is validated anyway.
+    const bool crashed = rig.fi.crashed();
+    CrashSweepResult res = rig.check(crashed ? k : CrashOracle::kNoPoint);
+    res.crashed = crashed;
+    if (crashed)
+        res.crashTick = rig.fi.crashTick();
     return res;
 }
 
@@ -118,29 +128,34 @@ CrashSweepRunner::shrink(const CrashSweepResult &failed)
     return CrashOracle::kNoPoint;
 }
 
-CrashSweepRunner::WorkloadFn
-CrashSweepRunner::kvHybridWorkload(unsigned workers,
-                                   std::uint64_t tx_per_worker)
+namespace
 {
-    return [workers, tx_per_worker](Runner &r) {
-        HybridKvParams p;
-        p.footprintBytes = KiB(4);
-        p.valueBytes = 512;
-        p.txPerWorker = tx_per_worker;
-        p.keyspace = 1u << 12;
-        p.prefillKeys = 128;
-        p.updateFraction = 0.75;
-        p.seed = 7;
-        auto kv = std::make_shared<HybridIndexKv>(r.system(), r.regions(),
-                                                  p, workers);
-        const DomainId d = r.addDomain("kv");
-        RunControl &rc = r.control();
-        for (unsigned i = 0; i < workers; ++i) {
-            r.addWorker(d, [kv, i, &rc](TxContext &ctx) {
-                return kv->worker(ctx, i, rc);
-            });
-        }
-    };
+
+/** The canned jobs' machine and policy. */
+JobSpec
+cannedJob(std::string key,
+          std::function<void(Runner &, std::uint64_t)> populate)
+{
+    return {std::move(key), {}, MachineConfig::tiny(),
+            HtmPolicy::uhtmOpt(1024), std::move(populate)};
+}
+
+} // namespace
+
+JobSpec
+CrashSweepRunner::kvHybridJob(unsigned workers, std::uint64_t tx_per_worker)
+{
+    HybridKvParams p;
+    p.footprintBytes = KiB(4);
+    p.valueBytes = 512;
+    p.txPerWorker = tx_per_worker;
+    p.keyspace = 1u << 12;
+    p.prefillKeys = 128;
+    p.updateFraction = 0.75;
+    p.seed = 7;
+    return cannedJob("kv_hybrid", [p, workers](Runner &r, std::uint64_t) {
+        populateHybridIndex(r, p, workers);
+    });
 }
 
 namespace
@@ -171,11 +186,11 @@ btreeInsertWorker(std::shared_ptr<SimBTree> tree,
 
 } // namespace
 
-CrashSweepRunner::WorkloadFn
-CrashSweepRunner::btreeWorkload(unsigned workers,
-                                std::uint64_t tx_per_worker)
+JobSpec
+CrashSweepRunner::btreeJob(unsigned workers, std::uint64_t tx_per_worker)
 {
-    return [workers, tx_per_worker](Runner &r) {
+    return cannedJob("btree", [workers, tx_per_worker](Runner &r,
+                                                       std::uint64_t) {
         auto tree = std::make_shared<SimBTree>(r.system(), r.regions(),
                                                MemKind::Nvm);
         auto allocs = std::make_shared<std::vector<TxAllocator>>();
@@ -192,7 +207,7 @@ CrashSweepRunner::btreeWorkload(unsigned workers,
                                                      ctx);
                         });
         }
-    };
+    });
 }
 
 } // namespace uhtm

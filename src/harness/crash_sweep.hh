@@ -2,8 +2,10 @@
  * @file
  * Crash-point sweep harness.
  *
- * Drives a workload on a fresh machine with the FaultInjector attached
- * and validates crash consistency at every persistence-ordering point:
+ * Drives one JobSpec (machine, policy, populate step: the description
+ * figure jobs are built from) on a fresh machine with the FaultInjector
+ * attached and validates crash consistency at every
+ * persistence-ordering point:
  *
  *   - sweep(): one instrumented run; at each crash point's completion
  *     tick the CrashOracle checks that per-line recovery would satisfy
@@ -24,21 +26,19 @@
 #define UHTM_HARNESS_CRASH_SWEEP_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "check/crash_oracle.hh"
 #include "check/fault_injector.hh"
-#include "harness/runner.hh"
+#include "harness/job_spec.hh"
 
 namespace uhtm
 {
 
-/** Configuration of one crash sweep. */
+/** Configuration of one crash sweep (the run itself is a JobSpec). */
 struct CrashSweepConfig
 {
-    MachineConfig mcfg = MachineConfig::tiny();
-    HtmPolicy policy = HtmPolicy::uhtmOpt(1024);
+    /** Seed of the Runner and of the populate step. */
     std::uint64_t seed = 1;
     /** Full recovery-image cross-check every Nth crash point. */
     std::uint64_t fullImageStride = 64;
@@ -57,6 +57,8 @@ struct CrashSweepResult
     std::uint64_t linesTracked = 0;
     /** Per-kind point counts, indexed by PersistPoint. */
     std::vector<std::uint64_t> pointsByKind;
+    /** A replay's crash fired: point K was in the schedule. */
+    bool crashed = false;
     /** Crash tick of a replayed crash (0 for sweeps). */
     Tick crashTick = 0;
     /** The crash schedule itself (index K -> machine instant). */
@@ -77,15 +79,12 @@ struct CrashSweepResult
     }
 };
 
-/** Enumerates and validates every crash point of one workload. */
+/** Enumerates and validates every crash point of one job. */
 class CrashSweepRunner
 {
   public:
-    /** Installs domains/workers on a fresh Runner. */
-    using WorkloadFn = std::function<void(Runner &)>;
-
-    CrashSweepRunner(CrashSweepConfig cfg, WorkloadFn workload)
-        : _cfg(cfg), _workload(std::move(workload))
+    CrashSweepRunner(CrashSweepConfig cfg, JobSpec spec)
+        : _cfg(cfg), _spec(std::move(spec))
     {
     }
 
@@ -102,22 +101,22 @@ class CrashSweepRunner
      */
     std::uint64_t shrink(const CrashSweepResult &failed);
 
-    /** @name Canned small-scale workloads
+    /** @name Canned small-scale jobs (tiny machine, UHTM 1k_opt)
      *  @{ */
 
     /** Hybrid-Index KV (DRAM B+tree + NVM hash + NVM values). */
-    static WorkloadFn kvHybridWorkload(unsigned workers = 3,
-                                       std::uint64_t tx_per_worker = 4);
+    static JobSpec kvHybridJob(unsigned workers = 3,
+                               std::uint64_t tx_per_worker = 4);
 
     /** Concurrent inserts into one NVM B+tree (conflict-heavy). */
-    static WorkloadFn btreeWorkload(unsigned workers = 3,
-                                    std::uint64_t tx_per_worker = 6);
+    static JobSpec btreeJob(unsigned workers = 3,
+                            std::uint64_t tx_per_worker = 6);
 
     /** @} */
 
   private:
     CrashSweepConfig _cfg;
-    WorkloadFn _workload;
+    JobSpec _spec;
 };
 
 } // namespace uhtm

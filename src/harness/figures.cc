@@ -6,9 +6,8 @@
 #include <map>
 #include <memory>
 
-#include "harness/experiments.hh"
+#include "harness/job_spec.hh"
 #include "harness/report.hh"
-#include "workloads/hog.hh"
 
 namespace uhtm::figures
 {
@@ -16,9 +15,7 @@ namespace uhtm::figures
 namespace
 {
 
-using exec::Job;
 using exec::JobResult;
-using experiments::ConsolidationOpts;
 
 /** Metrics of an ok job by key; nullptr when missing or failed. */
 const RunMetrics *
@@ -103,7 +100,7 @@ pmdkParams(const FigureOpts &o, IndexKind kind, std::uint64_t footprint,
 }
 
 /** One consolidated-PMDK simulation (the workhorse of Figs 2/6/7/10). */
-Job
+JobSpec
 consolidatedJob(std::string key, std::map<std::string, std::string> config,
                 const FigureOpts &o, HtmPolicy policy,
                 std::vector<PmdkParams> benches, unsigned workers,
@@ -113,36 +110,30 @@ consolidatedJob(std::string key, std::map<std::string, std::string> config,
         o, static_cast<unsigned>(benches.size()) * workers + hogs);
     machine.txAwareReplacement = txAwareReplacement;
     policy.conflict = o.policy; // --policy= override (default: fixed)
-    ConsolidationOpts copts;
-    copts.workersPerBench = workers;
-    copts.hogs = hogs;
-    if (o.tiny)
-        copts.hogBytes = MiB(4);
-    return {std::move(key), std::move(config),
-            [=](std::uint64_t seed) {
+    const std::uint64_t hogBytes = o.tiny ? MiB(4) : MiB(48);
+    return {std::move(key), std::move(config), machine, policy,
+            [=](Runner &r, std::uint64_t seed) {
                 auto b = benches;
                 for (auto &p : b)
                     p.seed = seed;
-                auto c = copts;
-                c.seed = seed;
-                return experiments::runPmdkConsolidated(machine, policy, b,
-                                                        c);
+                populatePmdk(r, b, workers);
+                populateHogs(r, hogs, hogBytes, 96);
             }};
 }
 
-Job
+JobSpec
 echoJob(std::string key, std::map<std::string, std::string> config,
         const FigureOpts &o, HtmPolicy policy, EchoParams params,
         unsigned clients, unsigned hogs)
 {
     const MachineConfig machine = machineFor(o, 1 + clients + hogs);
     policy.conflict = o.policy; // --policy= override (default: fixed)
-    return {std::move(key), std::move(config),
-            [=](std::uint64_t seed) {
+    return {std::move(key), std::move(config), machine, policy,
+            [=](Runner &r, std::uint64_t seed) {
                 auto p = params;
                 p.seed = seed;
-                return experiments::runEcho(machine, policy, p, clients,
-                                            hogs, seed);
+                populateEcho(r, p, clients);
+                populateHogs(r, hogs, MiB(64));
             }};
 }
 
@@ -167,13 +158,13 @@ fig2EchoParams(const FigureOpts &o, std::uint64_t tx)
     return p;
 }
 
-std::vector<Job>
+std::vector<JobSpec>
 fig2Jobs(const FigureOpts &o)
 {
     const std::uint64_t tx = txCount(o, 6, 6, 2);
     const unsigned workers = o.tiny ? 4 : 16;
     const unsigned hogs = hogCount(o, 2);
-    std::vector<Job> jobs;
+    std::vector<JobSpec> jobs;
     for (IndexKind kind : pmdkKinds(o)) {
         for (auto [sys, policy] :
              {std::pair<const char *, HtmPolicy>{"bounded",
@@ -255,13 +246,13 @@ fig6Systems()
             {"Ideal", HtmPolicy::ideal()}};
 }
 
-std::vector<Job>
+std::vector<JobSpec>
 fig6Jobs(const FigureOpts &o)
 {
     const std::uint64_t tx = txCount(o, 8, 3, 2);
     const unsigned workers = pmdkWorkers(o, 4);
     const unsigned hogs = hogCount(o, 2);
-    std::vector<Job> jobs;
+    std::vector<JobSpec> jobs;
     for (const SystemVariant &sysv : fig6Systems()) {
         std::vector<PmdkParams> benches;
         for (IndexKind kind : pmdkKinds(o))
@@ -376,11 +367,11 @@ fig7Systems(const FigureOpts &o)
     return systems;
 }
 
-std::vector<Job>
+std::vector<JobSpec>
 fig7Jobs(const FigureOpts &o)
 {
     const std::uint64_t tx = txCount(o, 6, 6, 2);
-    std::vector<Job> jobs;
+    std::vector<JobSpec> jobs;
     for (std::uint64_t fp : fig7Footprints(o)) {
         for (const SystemVariant &sysv : fig7Systems(o)) {
             std::vector<PmdkParams> benches;
@@ -481,11 +472,11 @@ fig8ScanBytes(const FigureOpts &o)
     return MiB(o.quick ? 12 : 24);
 }
 
-std::vector<Job>
+std::vector<JobSpec>
 fig8Jobs(const FigureOpts &o)
 {
     const std::uint64_t tx = txCount(o, 400, 200, 8);
-    std::vector<Job> jobs;
+    std::vector<JobSpec> jobs;
     for (const Fig8Point &pt : fig8Fractions(o)) {
         for (const SystemVariant &sysv : fig8Systems()) {
             EchoParams p;
@@ -580,72 +571,39 @@ fig9Systems(const FigureOpts &o)
             {"Ideal", HtmPolicy::ideal()}};
 }
 
-std::vector<Job>
+std::vector<JobSpec>
 fig9Jobs(const FigureOpts &o)
 {
     const std::uint64_t tx = txCount(o, 3, 3, 1);
     const unsigned hybridWorkers = o.tiny ? 2 : 8;
     const unsigned dualPairs = o.tiny ? 1 : 4;
-    std::vector<Job> jobs;
+    std::vector<JobSpec> jobs;
     for (std::uint64_t fp : fig9Footprints(o)) {
         for (const SystemVariant &sysv : fig9Systems(o)) {
-            const MachineConfig machine =
-                machineFor(o, hybridWorkers + 2 * dualPairs);
             HtmPolicy policy = sysv.policy;
             policy.conflict = o.policy; // --policy= override
-            const bool tiny = o.tiny;
+            HybridKvParams hp;
+            hp.footprintBytes = fp;
+            hp.txPerWorker = tx;
+            DualKvParams dp;
+            dp.footprintBytes = fp;
+            dp.txPerWorker = tx;
+            if (o.tiny) {
+                hp.keyspace = dp.keyspace = 1u << 14;
+                hp.prefillKeys = dp.prefillKeys = 1u << 10;
+            }
             auto config = baseConfig("hybrid+dual", sysv.label);
             config["footprint_kb"] = std::to_string(fp / 1024);
             jobs.push_back(
                 {"fp" + kbLabel(fp) + "/" + sysv.label, std::move(config),
-                 [=](std::uint64_t seed) {
-                     Runner runner(machine, policy, seed);
-                     RunControl &rc = runner.control();
-
-                     const DomainId hybridDom =
-                         runner.addDomain("hybrid-index");
-                     HybridKvParams hp;
-                     hp.footprintBytes = fp;
-                     hp.txPerWorker = tx;
-                     hp.seed = seed;
-                     if (tiny) {
-                         hp.keyspace = 1u << 14;
-                         hp.prefillKeys = 1u << 10;
-                     }
-                     auto hybrid = std::make_shared<HybridIndexKv>(
-                         runner.system(), runner.regions(), hp,
-                         hybridWorkers);
-                     for (unsigned w = 0; w < hybridWorkers; ++w) {
-                         runner.addWorker(
-                             hybridDom, [hybrid, w, &rc](TxContext &ctx) {
-                                 return hybrid->worker(ctx, w, rc);
-                             });
-                     }
-
-                     const DomainId dualDom = runner.addDomain("dual");
-                     DualKvParams dp;
-                     dp.footprintBytes = fp;
-                     dp.txPerWorker = tx;
-                     dp.seed = seed + 1;
-                     if (tiny) {
-                         dp.keyspace = 1u << 14;
-                         dp.prefillKeys = 1u << 10;
-                     }
-                     auto dual = std::make_shared<DualKv>(
-                         runner.system(), runner.regions(), dp, dualPairs);
-                     for (unsigned pr = 0; pr < dualPairs; ++pr) {
-                         runner.addWorker(
-                             dualDom, [dual, pr, &rc](TxContext &ctx) {
-                                 return dual->foreground(ctx, pr, rc);
-                             });
-                     }
-                     for (unsigned pr = 0; pr < dualPairs; ++pr) {
-                         runner.addBackground(
-                             dualDom, [dual, pr, &rc](TxContext &ctx) {
-                                 return dual->background(ctx, pr, rc);
-                             });
-                     }
-                     return runner.run();
+                 machineFor(o, hybridWorkers + 2 * dualPairs), policy,
+                 [=](Runner &r, std::uint64_t seed) {
+                     auto h = hp;
+                     h.seed = seed;
+                     populateHybridIndex(r, h, hybridWorkers);
+                     auto d = dp;
+                     d.seed = seed + 1;
+                     populateDual(r, d, dualPairs);
                  }});
         }
     }
@@ -708,11 +666,11 @@ fig10SigSizes(const FigureOpts &o)
     return {512, 1024, 4096};
 }
 
-std::vector<Job>
+std::vector<JobSpec>
 fig10Jobs(const FigureOpts &o)
 {
     const std::uint64_t tx = txCount(o, 6, 6, 2);
-    std::vector<Job> jobs;
+    std::vector<JobSpec> jobs;
     for (std::uint64_t fp : fig10Footprints(o)) {
         for (unsigned bits : fig10SigSizes(o)) {
             for (DramOverflowLog mode :
@@ -804,11 +762,11 @@ stagingSystems()
             {"Ideal(precise)", HtmPolicy::ideal()}};
 }
 
-std::vector<Job>
+std::vector<JobSpec>
 stagingJobs(const FigureOpts &o)
 {
     const std::uint64_t tx = txCount(o, 6, 3, 2);
-    std::vector<Job> jobs;
+    std::vector<JobSpec> jobs;
     for (const SystemVariant &sysv : stagingSystems()) {
         std::vector<PmdkParams> benches;
         for (IndexKind kind : pmdkKinds(o))
@@ -884,11 +842,11 @@ ablationBenches(const FigureOpts &o, std::uint64_t tx)
     return benches;
 }
 
-std::vector<Job>
+std::vector<JobSpec>
 ablationJobs(const FigureOpts &o)
 {
     const std::uint64_t tx = txCount(o, 5, 3, 2);
-    std::vector<Job> jobs;
+    std::vector<JobSpec> jobs;
     for (bool aware : {false, true}) {
         jobs.push_back(consolidatedJob(
             std::string("replacement/") +
@@ -1009,21 +967,19 @@ measureAccess(HtmSystem &sys, CoreId core, Addr addr, bool write)
     return r.completeAt - start;
 }
 
-std::vector<Job>
+std::vector<JobSpec>
 latencyJobs(const FigureOpts &o)
 {
-    return {{"latency",
-             baseConfig("latency-probe", "2k_opt"),
-             [](std::uint64_t) {
-                 EventQueue eq;
-                 HtmSystem sys(eq, MachineConfig{},
-                               HtmPolicy::uhtmOpt(2048));
-                 sys.createDomain("p0");
-
+    // No workers: the run is empty and the probes drive the idle
+    // machine's access path directly once it is over.
+    return {{"latency", baseConfig("latency-probe", "2k_opt"),
+             MachineConfig{}, HtmPolicy::uhtmOpt(2048),
+             [](Runner &r, std::uint64_t) { r.addDomain("p0"); },
+             [](Runner &r, RunMetrics &m) {
+                 HtmSystem &sys = r.system();
                  const Addr dram = MemLayout::kDramBase + MiB(2);
                  const Addr nvm = MemLayout::kNvmBase + MiB(2);
 
-                 RunMetrics m;
                  auto &x = m.extra;
                  // Cold DRAM read: L1 + LLC + DRAM.
                  x.set("dram_read_ns",
@@ -1062,7 +1018,9 @@ latencyJobs(const FigureOpts &o)
                        nsFromTicks(cfg.nvmWriteLatency));
                  x.set("cfg_dram_rw_ns",
                        nsFromTicks(cfg.dramReadLatency));
-                 return m;
+                 // The registry was snapshot before the probes, on an
+                 // idle machine: it has nothing to report.
+                 m.registry = {};
              }}};
 }
 
@@ -1124,51 +1082,49 @@ policyMixes()
     return {{"lemming", 1u}, {"mixed", 8u}};
 }
 
-std::vector<Job>
+/** Figure-level scalars: goodput is ops_per_sec, starvation is the
+ *  worst per-operation attempt count, tail latency comes from the
+ *  metrics registry's commit-protocol distribution. */
+void
+policiesFinish(Runner &, RunMetrics &m)
+{
+    std::uint64_t max_att = 0;
+    for (const auto &[dom, cs] : m.domainCtx)
+        max_att = std::max(max_att, cs.maxAttempts);
+    m.extra.set("max_attempts_per_op", static_cast<double>(max_att));
+    m.extra.set("fallback_aborts", static_cast<double>(m.htm.abortsOf(
+                                       AbortCause::Fallback)));
+    const auto it =
+        m.registry.distributions.find("htm.commit_protocol_ns");
+    if (it != m.registry.distributions.end())
+        m.extra.set("commit_p99_ns", it->second.quantileUpperBound(0.99));
+}
+
+std::vector<JobSpec>
 policiesJobs(const FigureOpts &o)
 {
     const unsigned workers = o.tiny ? 4 : 8;
     const std::uint64_t tx = txCount(o, 200, 60, 25);
-    std::vector<Job> jobs;
+    std::vector<JobSpec> jobs;
     for (const auto &[mix, hot] : policyMixes()) {
         for (const auto &[pname, desc] : policySweep()) {
             HtmPolicy policy = HtmPolicy::uhtmOpt(2048);
             policy.conflict = desc;
-            const MachineConfig machine = machineFor(o, workers);
-            experiments::ContentionParams params;
+            ContentionParams params;
             params.workers = workers;
             params.txPerWorker = static_cast<unsigned>(tx);
             params.hotLines = hot;
             auto config = baseConfig("contention", "2k_opt");
             config["mix"] = mix;
             config["policy"] = desc.spec();
-            jobs.push_back(
-                {mix + "/" + pname, std::move(config),
-                 [=](std::uint64_t seed) {
-                     auto p = params;
-                     p.seed = seed;
-                     RunMetrics m = experiments::runContention(machine,
-                                                               policy, p);
-                     // Figure-level scalars: goodput is ops_per_sec,
-                     // starvation is the worst per-operation attempt
-                     // count, tail latency comes from the metrics
-                     // registry's commit-protocol distribution.
-                     std::uint64_t max_att = 0;
-                     for (const auto &[dom, cs] : m.domainCtx)
-                         max_att = std::max(max_att, cs.maxAttempts);
-                     m.extra.set("max_attempts_per_op",
-                                 static_cast<double>(max_att));
-                     m.extra.set("fallback_aborts",
-                                 static_cast<double>(m.htm.abortsOf(
-                                     AbortCause::Fallback)));
-                     const auto it = m.registry.distributions.find(
-                         "htm.commit_protocol_ns");
-                     if (it != m.registry.distributions.end())
-                         m.extra.set(
-                             "commit_p99_ns",
-                             it->second.quantileUpperBound(0.99));
-                     return m;
-                 }});
+            jobs.push_back({mix + "/" + pname, std::move(config),
+                            machineFor(o, workers), policy,
+                            [params](Runner &r, std::uint64_t seed) {
+                                auto p = params;
+                                p.seed = seed;
+                                populateContention(r, p);
+                            },
+                            policiesFinish});
         }
     }
     return jobs;
@@ -1295,10 +1251,29 @@ serviceParams(const FigureOpts &o, unsigned tenants,
     return p;
 }
 
-std::vector<Job>
+/** Per-job latency scalars for the BENCH file; registry gauges would
+ *  sum across the sweep's merge, so percentiles live in extra. */
+void
+serviceFinish(Runner &, RunMetrics &m)
+{
+    const auto &dists = m.registry.distributions;
+    if (auto it = dists.find("service.sojourn_ns"); it != dists.end()) {
+        m.extra.set("service_p50_ns", it->second.quantileUpperBound(0.50));
+        m.extra.set("service_p99_ns", it->second.quantileUpperBound(0.99));
+        m.extra.set("service_p999_ns",
+                    it->second.quantileUpperBound(0.999));
+    }
+    if (auto it = dists.find("service.queue_wait_ns"); it != dists.end())
+        m.extra.set("queue_p99_ns", it->second.quantileUpperBound(0.99));
+    if (auto it = m.registry.counters.find("service.requests");
+        it != m.registry.counters.end())
+        m.extra.set("requests", static_cast<double>(it->second));
+}
+
+std::vector<JobSpec>
 serviceJobs(const FigureOpts &o)
 {
-    std::vector<Job> jobs;
+    std::vector<JobSpec> jobs;
     for (unsigned tenants : serviceTenants(o)) {
         for (const ServicePoint &pt : serviceArrivals(o)) {
             for (const SystemVariant &sysv : fig6Systems()) {
@@ -1309,8 +1284,6 @@ serviceJobs(const FigureOpts &o)
                     policy.conflict = desc;
                     const traffic::ServiceParams params =
                         serviceParams(o, tenants, pt.spec);
-                    const MachineConfig machine = machineFor(
-                        o, tenants * params.workersPerTenant);
                     auto config = baseConfig("service", sysv.label);
                     config["policy"] = pname;
                     config["tenants"] = std::to_string(tenants);
@@ -1318,44 +1291,15 @@ serviceJobs(const FigureOpts &o)
                     jobs.push_back(
                         {"t" + std::to_string(tenants) + "/" + pt.label +
                              "/" + sysv.label + "/" + pname,
-                         std::move(config), [=](std::uint64_t seed) {
+                         std::move(config),
+                         machineFor(o, tenants * params.workersPerTenant),
+                         policy,
+                         [params](Runner &r, std::uint64_t seed) {
                              auto p = params;
                              p.seed = seed;
-                             RunMetrics m = experiments::runService(
-                                 machine, policy, p);
-                             // Per-job latency scalars for the BENCH
-                             // file; registry gauges would sum across
-                             // the sweep's merge, so percentiles live
-                             // in extra.
-                             const auto &dists = m.registry.distributions;
-                             if (auto it = dists.find("service.sojourn_ns");
-                                 it != dists.end()) {
-                                 m.extra.set(
-                                     "service_p50_ns",
-                                     it->second.quantileUpperBound(0.50));
-                                 m.extra.set(
-                                     "service_p99_ns",
-                                     it->second.quantileUpperBound(0.99));
-                                 m.extra.set("service_p999_ns",
-                                             it->second.quantileUpperBound(
-                                                 0.999));
-                             }
-                             if (auto it =
-                                     dists.find("service.queue_wait_ns");
-                                 it != dists.end()) {
-                                 m.extra.set(
-                                     "queue_p99_ns",
-                                     it->second.quantileUpperBound(0.99));
-                             }
-                             if (auto it = m.registry.counters.find(
-                                     "service.requests");
-                                 it != m.registry.counters.end()) {
-                                 m.extra.set("requests",
-                                             static_cast<double>(
-                                                 it->second));
-                             }
-                             return m;
-                         }});
+                             populateService(r, p);
+                         },
+                         serviceFinish});
                 }
             }
         }
@@ -1467,6 +1411,15 @@ all()
     }();
     (void)checked;
     return figures;
+}
+
+std::vector<exec::Job>
+Figure::makeJobs(const FigureOpts &o) const
+{
+    std::vector<exec::Job> jobs;
+    for (const JobSpec &spec : specs(o))
+        jobs.push_back(spec.job());
+    return jobs;
 }
 
 const Figure *

@@ -7,13 +7,15 @@
  * its own serial sweep loop and argument parsing. The registry splits
  * that into:
  *
- *   makeJobs(opts)  — the sweep's independent single-simulation jobs
- *                     (what the exec::SweepScheduler runs in parallel)
+ *   specs(opts)     — the sweep's independent single-simulation jobs,
+ *                     each a JobSpec (machine, policy, populate step);
+ *                     makeJobs(opts) derives the exec::Jobs that the
+ *                     exec::SweepScheduler runs in parallel
  *   render(...)     — the figure's fixed-width table, computed from
  *                     the job results by key
  *
- * so `uhtm_bench` and the in-process smoke tests share one definition
- * of every experiment.
+ * so `uhtm_bench`, the in-process smoke tests and crash sweeps share
+ * one definition of every experiment.
  */
 
 #ifndef UHTM_HARNESS_FIGURES_HH
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "exec/job.hh"
+#include "harness/job_spec.hh"
 #include "htm/config.hh"
 
 namespace uhtm::figures
@@ -70,13 +73,16 @@ struct Figure
 {
     std::string name;  ///< subcommand, e.g. "fig6"
     std::string title; ///< banner line
-    std::function<std::vector<exec::Job>(const FigureOpts &)> makeJobs;
+    std::function<std::vector<JobSpec>(const FigureOpts &)> specs;
     /** Render the text table (and paper-shape footnote) to @p out.
      *  Tolerates missing results (e.g. a --filter'ed sweep): absent
      *  cells render as "-". */
     std::function<void(const FigureOpts &,
                        const std::vector<exec::JobResult> &, std::FILE *)>
         render;
+
+    /** specs(o) as schedulable jobs, in the same order. */
+    std::vector<exec::Job> makeJobs(const FigureOpts &o) const;
 };
 
 /** All figures, in paper order. */

@@ -10,9 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "exec/result_sink.hh"
 #include "exec/scheduler.hh"
+#include "harness/bench_cli.hh"
 #include "harness/figures.hh"
 
 namespace uhtm
@@ -89,6 +93,35 @@ TEST(BenchSmoke, RenderToleratesFilteredResults)
         fig.render(opts, results, sinkFile); // must not crash
         std::fclose(sinkFile);
     }
+}
+
+/** --wall records every job's host seconds, by key, in job order. */
+TEST(BenchSmoke, TimingSidecarListsEachJobsHostSeconds)
+{
+    const figures::Figure *fig = figures::find("fig9");
+    ASSERT_NE(fig, nullptr);
+    BenchCliOpts opts;
+    opts.fig = tinyOpts();
+    opts.jobs = 2;
+    opts.outDir = ::testing::TempDir() + "/uhtm_timing_fig9";
+    opts.wall = true;
+    ASSERT_EQ(runFigure(*fig, opts), 0);
+
+    std::ifstream in(opts.outDir + "/TIMING_fig9.json");
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const std::string json = ss.str();
+    std::size_t pos = json.find("\"job_host_seconds\": [");
+    ASSERT_NE(pos, std::string::npos) << json;
+    for (const exec::Job &job : fig->makeJobs(opts.fig)) {
+        pos = json.find("\"key\": \"" + job.key + "\"", pos);
+        ASSERT_NE(pos, std::string::npos) << job.key << "\n" << json;
+        pos = json.find("\"host_seconds\": ", pos);
+        ASSERT_NE(pos, std::string::npos) << json;
+        EXPECT_GT(std::stod(json.substr(pos + 16)), 0.0) << job.key;
+    }
+    EXPECT_EQ(json.find("\"key\"", pos), std::string::npos)
+        << "one entry per job:\n" << json;
 }
 
 } // namespace

@@ -1,11 +1,11 @@
 /**
  * @file
  * Crash-point sweep tests: exhaustive enumeration of the machine's
- * persistence-ordering points on the hybrid KV and B+tree workloads,
- * with the CrashOracle's durability / atomicity / rollback invariants
- * checked at every point; a deliberately broken commit-mark ordering
- * must be caught and shrink to a replayable crash point; replays are
- * deterministic.
+ * persistence-ordering points on the hybrid KV and B+tree workloads
+ * and on every tiny fig7/fig9 figure job, with the CrashOracle's
+ * durability / atomicity / rollback invariants checked at every point;
+ * a deliberately broken commit-mark ordering must be caught and shrink
+ * to a replayable crash point; replays are deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,9 @@
 #include <cstdio>
 #include <string>
 
+#include "exec/scheduler.hh"
 #include "harness/crash_sweep.hh"
+#include "harness/figures.hh"
 
 namespace uhtm
 {
@@ -41,7 +43,7 @@ describe(const CrashSweepResult &res, std::size_t limit = 5)
 TEST(CrashSweep, KvHybridEveryPointSatisfiesOracles)
 {
     CrashSweepConfig cfg;
-    CrashSweepRunner runner(cfg, CrashSweepRunner::kvHybridWorkload());
+    CrashSweepRunner runner(cfg, CrashSweepRunner::kvHybridJob());
     const CrashSweepResult res = runner.sweep();
 
     // Acceptance: the schedule is dense (>= 200 distinct points) and
@@ -65,11 +67,12 @@ TEST(CrashSweep, KvHybridUnderCachePressure)
 {
     // Shrink the LLC and DRAM cache so transactional lines overflow:
     // exercises undo logging, early eviction and uncommitted drops.
+    JobSpec spec = CrashSweepRunner::kvHybridJob();
+    spec.machine.llcBytes = KiB(16);
+    spec.machine.dramCacheBytes = KiB(16);
     CrashSweepConfig cfg;
-    cfg.mcfg.llcBytes = KiB(16);
-    cfg.mcfg.dramCacheBytes = KiB(16);
     cfg.seed = 3;
-    CrashSweepRunner runner(cfg, CrashSweepRunner::kvHybridWorkload());
+    CrashSweepRunner runner(cfg, spec);
     const CrashSweepResult res = runner.sweep();
 
     EXPECT_GE(res.points, 200u);
@@ -80,7 +83,7 @@ TEST(CrashSweep, BTreeEveryPointSatisfiesOracles)
 {
     CrashSweepConfig cfg;
     cfg.seed = 2;
-    CrashSweepRunner runner(cfg, CrashSweepRunner::btreeWorkload());
+    CrashSweepRunner runner(cfg, CrashSweepRunner::btreeJob());
     const CrashSweepResult res = runner.sweep();
 
     EXPECT_GE(res.points, 200u);
@@ -91,7 +94,7 @@ TEST(CrashSweep, BTreeEveryPointSatisfiesOracles)
 TEST(CrashSweep, ReplayIsDeterministic)
 {
     CrashSweepConfig cfg;
-    CrashSweepRunner runner(cfg, CrashSweepRunner::kvHybridWorkload());
+    CrashSweepRunner runner(cfg, CrashSweepRunner::kvHybridJob());
     const CrashSweepResult swept = runner.sweep();
     ASSERT_GT(swept.points, 200u);
 
@@ -115,7 +118,7 @@ TEST(CrashSweep, ReplayEveryEarlyPointPasses)
     // Real-crash spot checks (full machine freeze + full-image oracle)
     // across the schedule, not just the sweep's in-run checks.
     CrashSweepConfig cfg;
-    CrashSweepRunner runner(cfg, CrashSweepRunner::kvHybridWorkload());
+    CrashSweepRunner runner(cfg, CrashSweepRunner::kvHybridJob());
     const CrashSweepResult swept = runner.sweep();
     ASSERT_TRUE(swept.passed()) << describe(swept);
 
@@ -133,7 +136,7 @@ TEST(CrashSweep, BrokenCommitMarkOrderingIsCaught)
     // window finds a durable commit record with torn member records.
     CrashSweepConfig cfg;
     cfg.breakCommitMarkOrdering = true;
-    CrashSweepRunner runner(cfg, CrashSweepRunner::kvHybridWorkload());
+    CrashSweepRunner runner(cfg, CrashSweepRunner::kvHybridJob());
     const CrashSweepResult res = runner.sweep();
 
     ASSERT_FALSE(res.passed())
@@ -155,7 +158,7 @@ TEST(CrashSweep, BrokenCommitMarkOrderingIsCaught)
 
     // The same schedule with the toggle off is clean.
     cfg.breakCommitMarkOrdering = false;
-    CrashSweepRunner fixed(cfg, CrashSweepRunner::kvHybridWorkload());
+    CrashSweepRunner fixed(cfg, CrashSweepRunner::kvHybridJob());
     EXPECT_TRUE(fixed.sweep().passed());
 }
 
@@ -164,31 +167,74 @@ TEST(CrashSweep, SweepTracksTornEntriesOnlyWhenBroken)
     // Indirect probe of the replay semantics: a correct run never
     // produces torn records (commit marks wait for the log to drain).
     CrashSweepConfig cfg;
-    CrashSweepRunner good(cfg, CrashSweepRunner::kvHybridWorkload());
+    CrashSweepRunner good(cfg, CrashSweepRunner::kvHybridJob());
     const CrashSweepResult res = good.sweep();
     EXPECT_TRUE(res.passed()) << describe(res);
 
     cfg.breakCommitMarkOrdering = true;
-    CrashSweepRunner bad(cfg, CrashSweepRunner::kvHybridWorkload());
+    CrashSweepRunner bad(cfg, CrashSweepRunner::kvHybridJob());
     EXPECT_FALSE(bad.sweep().passed());
+}
+
+/** Sweep every tiny job of figure @p name with its sweep-derived seed. */
+void
+sweepTinyFigure(const char *name)
+{
+    const figures::Figure *fig = figures::find(name);
+    ASSERT_NE(fig, nullptr);
+    figures::FigureOpts opts;
+    opts.tiny = true;
+    const std::vector<JobSpec> specs = fig->specs(opts);
+    ASSERT_FALSE(specs.empty());
+    for (const JobSpec &spec : specs) {
+        CrashSweepConfig cfg;
+        cfg.seed = exec::SweepScheduler::jobSeed(opts.seed, spec.key);
+        const CrashSweepResult res = CrashSweepRunner(cfg, spec).sweep();
+        EXPECT_GE(res.points, 200u) << name << " " << spec.key;
+        EXPECT_GT(res.linesTracked, 0u) << name << " " << spec.key;
+        EXPECT_TRUE(res.passed())
+            << name << " " << spec.key << ": " << res.violations.size()
+            << " violations:\n" << describe(res);
+    }
+}
+
+TEST(CrashSweep, EveryTinyFig7JobSatisfiesOracles)
+{
+    sweepTinyFigure("fig7");
+}
+
+TEST(CrashSweep, EveryTinyFig9JobSatisfiesOracles)
+{
+    sweepTinyFigure("fig9");
+}
+
+/**
+ * Run the built crash_sweep CLI with @p args (shell syntax, so the
+ * caller picks where stderr goes); stdout lands in @p out.
+ * @return the exit status, -1 if it did not exit normally.
+ */
+int
+runTool(const std::string &args, std::string *out)
+{
+    const std::string cmd =
+        std::string(UHTM_TOOLS_DIR) + "/crash_sweep " + args;
+    FILE *p = popen(cmd.c_str(), "r");
+    if (!p)
+        return -1;
+    out->clear();
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), p))
+        *out += buf;
+    const int rc = pclose(p);
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
 TEST(CrashSweepTool, ExitsTwoOnMalformedNumber)
 {
-    // Runs the built CLI; stdout is captured so an accepted value can
-    // be checked to replay exactly the point it names.
+    // Stdout is captured so an accepted value can be checked to replay
+    // exactly the point it names.
     const auto run = [](const std::string &args, std::string *out) {
-        const std::string cmd = std::string(UHTM_TOOLS_DIR) +
-                                "/crash_sweep " + args + " 2>/dev/null";
-        FILE *p = popen(cmd.c_str(), "r");
-        if (!p)
-            return -1;
-        out->clear();
-        char buf[256];
-        while (std::fgets(buf, sizeof(buf), p))
-            *out += buf;
-        const int rc = pclose(p);
-        return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+        return runTool(args + " 2>/dev/null", out);
     };
     std::string out;
     for (const char *bad :
@@ -201,6 +247,33 @@ TEST(CrashSweepTool, ExitsTwoOnMalformedNumber)
     EXPECT_EQ(run("--workload=btree --crash-at=12", &out), 0);
     EXPECT_NE(out.find("replay btree crash-at=12: "), std::string::npos)
         << out;
+}
+
+TEST(CrashSweepTool, ReplayPastTheScheduleExitsTwo)
+{
+    const CrashSweepResult swept =
+        CrashSweepRunner({}, CrashSweepRunner::btreeJob()).sweep();
+    ASSERT_GT(swept.points, 0u);
+    ASSERT_LT(swept.points, 1000u);
+    const std::string points = std::to_string(swept.points);
+    std::string out;
+
+    // No crash point K: nothing crashed, so no verdict may be printed.
+    for (const std::string &k : {std::string("1000"), points}) {
+        EXPECT_EQ(runTool("--workload=btree --crash-at=" + k + " 2>&1",
+                          &out),
+                  2)
+            << k;
+        EXPECT_EQ(out, "no crash point " + k + ": schedule has " +
+                           points + " points\n");
+    }
+
+    // The last point is still in the schedule and really crashes.
+    const std::string last = std::to_string(swept.points - 1);
+    EXPECT_EQ(runTool("--workload=btree --crash-at=" + last, &out), 0);
+    const std::size_t at = out.find("crash tick ");
+    ASSERT_NE(at, std::string::npos) << out;
+    EXPECT_GT(std::stoull(out.substr(at + 11)), 0u) << out;
 }
 
 } // namespace

@@ -20,7 +20,7 @@
 #include "exec/result_sink.hh"
 #include "exec/scheduler.hh"
 #include "exec/thread_pool.hh"
-#include "harness/experiments.hh"
+#include "harness/job_spec.hh"
 
 namespace uhtm::exec
 {
@@ -148,21 +148,21 @@ miniSimJobs()
     };
     std::vector<Job> jobs;
     for (const auto &sys : systems) {
-        Job j;
-        j.key = "echo/" + sys.label;
-        j.config = {{"system", sys.label}};
-        HtmPolicy policy = sys.policy;
-        j.run = [policy](std::uint64_t seed) {
-            EchoParams p;
-            p.txPerMaster = 2;
-            p.opsPerTx = 8;
-            p.keyspace = 1 << 14;
-            p.prefillKeys = 1 << 9;
-            p.seed = seed;
-            return experiments::runEcho(MachineConfig::tiny(), policy, p,
-                                        /*clients=*/2, /*hogs=*/0, seed);
-        };
-        jobs.push_back(std::move(j));
+        EchoParams p;
+        p.txPerMaster = 2;
+        p.opsPerTx = 8;
+        p.keyspace = 1 << 14;
+        p.prefillKeys = 1 << 9;
+        const JobSpec spec{"echo/" + sys.label,
+                           {{"system", sys.label}},
+                           MachineConfig::tiny(),
+                           sys.policy,
+                           [p](Runner &r, std::uint64_t seed) {
+                               auto q = p;
+                               q.seed = seed;
+                               populateEcho(r, q, /*clients=*/2);
+                           }};
+        jobs.push_back(spec.job());
     }
     return jobs;
 }

@@ -14,8 +14,8 @@
 #include "check/fault_injector.hh"
 #include "exec/result_sink.hh"
 #include "exec/scheduler.hh"
-#include "harness/experiments.hh"
 #include "harness/figures.hh"
+#include "harness/job_spec.hh"
 #include "workloads/hashmap.hh"
 
 namespace uhtm
@@ -186,12 +186,16 @@ runLemming(const std::string &spec)
 {
     MachineConfig m = MachineConfig::tiny();
     m.cores = 4;
-    experiments::ContentionParams p;
+    ContentionParams p;
     p.workers = 4;
     p.txPerWorker = 25;
     p.hotLines = 1;
     p.seed = 7;
-    return experiments::runContention(m, policyFromSpec(spec), p);
+    return JobSpec{"lemming", {}, m, policyFromSpec(spec),
+                   [p](Runner &r, std::uint64_t) {
+                       populateContention(r, p);
+                   }}
+        .run(p.seed);
 }
 
 std::uint64_t

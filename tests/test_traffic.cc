@@ -16,8 +16,8 @@
 
 #include "exec/result_sink.hh"
 #include "exec/scheduler.hh"
-#include "harness/experiments.hh"
 #include "harness/figures.hh"
+#include "harness/job_spec.hh"
 #include "obs/abort_profile.hh"
 #include "sim/random.hh"
 #include "traffic/arrivals.hh"
@@ -347,8 +347,10 @@ TEST(ServiceRun, PerTenantAbortsAndRequestsSumExactly)
     p.seed = 42;
     MachineConfig m = MachineConfig::tiny();
     m.cores = p.tenants * p.workersPerTenant;
-    const RunMetrics rm = experiments::runService(
-        m, HtmPolicy::uhtmOpt(2048), p);
+    const RunMetrics rm =
+        JobSpec{"service", {}, m, HtmPolicy::uhtmOpt(2048),
+                [p](Runner &r, std::uint64_t) { populateService(r, p); }}
+            .run(p.seed);
 
     // Every request completed and was tracked, overall and per tenant.
     ASSERT_EQ(rm.registry.counters.at("service.requests"), p.requests);

@@ -11,8 +11,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "harness/experiments.hh"
+#include "harness/runner.hh"
+#include "workloads/echo.hh"
 #include "workloads/hog.hh"
+#include "workloads/kv_dual.hh"
+#include "workloads/kv_hybrid.hh"
 
 namespace uhtm
 {
@@ -210,15 +213,6 @@ TEST(Runner, PerDomainMetricsSeparateBenchmarks)
     EXPECT_EQ(m.domainOps.at(a), 3u);
     EXPECT_EQ(m.domainOps.at(b), 5u);
     EXPECT_GT(m.domainOpsPerSec(b), m.domainOpsPerSec(a));
-}
-
-TEST(Experiments, PaperSystemListCoversAllVariants)
-{
-    auto systems = experiments::paperSystems({512, 4096}, true);
-    // bounded + sig-only + 2x(sig,opt) + ideal
-    EXPECT_EQ(systems.size(), 7u);
-    EXPECT_EQ(systems.front().label, "LLC-Bounded");
-    EXPECT_EQ(systems.back().label, "Ideal");
 }
 
 TEST(MachineLimits, CoreCountOutsideSharerMaskThrows)

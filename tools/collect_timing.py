@@ -37,6 +37,7 @@ def collect(timing_dir):
             "threads": doc.get("threads"),
             "events_executed": doc.get("events_executed"),
             "events_per_second": doc.get("events_per_second"),
+            "job_host_seconds": doc.get("job_host_seconds", []),
         }
         total += doc.get("wall_seconds") or 0.0
     return {

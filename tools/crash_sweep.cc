@@ -10,6 +10,8 @@
  *   crash_sweep --workload=kv_hybrid            # sweep all points
  *   crash_sweep --workload=btree --seed=3
  *   crash_sweep --crash-at=117                  # replay one crash
+ *                                               # (exit 2 if the
+ *                                               # schedule is shorter)
  *   crash_sweep --break-commit-order            # prove detection
  *   crash_sweep --list                          # dump the schedule
  */
@@ -129,11 +131,11 @@ main(int argc, char **argv)
         }
     }
 
-    CrashSweepRunner::WorkloadFn fn;
+    JobSpec spec;
     if (workload == "kv_hybrid") {
-        fn = CrashSweepRunner::kvHybridWorkload();
+        spec = CrashSweepRunner::kvHybridJob();
     } else if (workload == "btree") {
-        fn = CrashSweepRunner::btreeWorkload();
+        spec = CrashSweepRunner::btreeJob();
     } else {
         std::fprintf(stderr, "unknown workload '%s'\n",
                      workload.c_str());
@@ -141,10 +143,17 @@ main(int argc, char **argv)
         return 2;
     }
 
-    CrashSweepRunner runner(cfg, std::move(fn));
+    CrashSweepRunner runner(cfg, std::move(spec));
 
     if (crash_at != CrashOracle::kNoPoint) {
         const CrashSweepResult res = runner.replay(crash_at);
+        if (!res.crashed) {
+            std::fprintf(stderr,
+                         "no crash point %" PRIu64
+                         ": schedule has %" PRIu64 " points\n",
+                         crash_at, res.points);
+            return 2;
+        }
         std::printf("replay %s crash-at=%" PRIu64 ": %" PRIu64
                     " points, crash tick %" PRIu64 ", %zu violations\n",
                     workload.c_str(), crash_at, res.points,
