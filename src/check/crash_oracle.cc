@@ -142,7 +142,8 @@ CrashOracle::onTxAborted(const FaultInjector::AbortedTx &rec)
         LineBytes cur;
         _sys.store().readLine(al.line, cur.data());
         if (std::memcmp(cur.data(), al.specImage.data(), kLineBytes) ==
-            0) {
+                0 &&
+            !committedByOther(al.line, rec.tx, cur)) {
             addViolation(kNoPoint, 0, al.line, "rollback",
                          "aborted tx bytes visible in the architectural "
                          "store");
@@ -155,6 +156,18 @@ CrashOracle::onTxAborted(const FaultInjector::AbortedTx &rec)
             }
         }
     }
+}
+
+bool
+CrashOracle::committedByOther(Addr line, TxId tx,
+                              const LineBytes &bytes) const
+{
+    // Only the latest commit can account for the store's bytes.
+    const auto it = _lines.find(line);
+    if (it == _lines.end() || it->second.committed.empty())
+        return false;
+    const TxVersion &last = it->second.committed.back();
+    return last.tx != tx && last.bytes == bytes;
 }
 
 const CrashOracle::LineBytes *

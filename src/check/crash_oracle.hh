@@ -19,7 +19,8 @@
  *       must never evict uncommitted data into NVM);
  *   rollback — an aborted transaction's undo records must hold the
  *       pre-transaction images, its speculative bytes must not reach
- *       the architectural store, and its DRAM-cache entries must be
+ *       the architectural store (unless another transaction committed
+ *       the same bytes), and its DRAM-cache entries must be
  *       invalidated.
  *
  * Checks run against RedoLogArea::recoverLine (per line, cheap enough
@@ -123,6 +124,16 @@ class CrashOracle
 
     /** Ledger for @p line; captures the durable baseline on first use. */
     LineLedger &ledgerFor(Addr line);
+
+    /**
+     * True if the line's latest committed image is exactly @p bytes,
+     * from a transaction other than @p tx. An aborted transaction's
+     * speculative image may then equal the architectural store
+     * without having leaked: e.g. victim and killer both wrote v + 1
+     * and the killer won.
+     */
+    bool committedByOther(Addr line, TxId tx,
+                          const LineBytes &bytes) const;
 
     /**
      * The image recovery must produce for the line at crash tick @p t.

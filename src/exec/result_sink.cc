@@ -236,9 +236,6 @@ ResultSink::metricsJson(const std::vector<JobResult> &results) const
     return w.str() + "\n";
 }
 
-namespace
-{
-
 std::string
 writeFileTo(const std::string &dir, const std::string &file_name,
             const std::string &body, std::string *err)
@@ -260,31 +257,12 @@ writeFileTo(const std::string &dir, const std::string &file_name,
     }
     const bool ok = std::fwrite(body.data(), 1, body.size(), f) ==
                     body.size();
-    std::fclose(f);
-    if (!ok) {
+    if (std::fclose(f) != 0 || !ok) {
         if (err)
             *err = "short write to " + path;
         return "";
     }
     return path;
-}
-
-} // namespace
-
-std::string
-ResultSink::writeTo(const std::string &dir,
-                    const std::vector<JobResult> &results,
-                    std::string *err) const
-{
-    return writeFileTo(dir, fileName(), json(results), err);
-}
-
-std::string
-ResultSink::writeMetricsTo(const std::string &dir,
-                           const std::vector<JobResult> &results,
-                           std::string *err) const
-{
-    return writeFileTo(dir, metricsFileName(), metricsJson(results), err);
 }
 
 } // namespace uhtm::exec

@@ -67,14 +67,6 @@ class ResultSink
     std::string fileName() const { return "BENCH_" + _name + ".json"; }
 
     /**
-     * Write the JSON into @p dir (created if missing) as fileName().
-     * Returns the path written, or an empty string with @p err set.
-     */
-    std::string writeTo(const std::string &dir,
-                        const std::vector<JobResult> &results,
-                        std::string *err) const;
-
-    /**
      * Serialize the observability sidecar (schema uhtm-metrics-v1):
      * per-job hierarchical counters/gauges/distributions from
      * RunMetrics::registry plus a deterministic "aggregate" merge over
@@ -90,16 +82,19 @@ class ResultSink
         return "METRICS_" + _name + ".json";
     }
 
-    /** Write the metrics sidecar into @p dir (like writeTo). */
-    std::string writeMetricsTo(const std::string &dir,
-                               const std::vector<JobResult> &results,
-                               std::string *err) const;
-
   private:
     std::string _name;
     std::uint64_t _sweepSeed;
     std::map<std::string, std::string> _sweepConfig;
 };
+
+/**
+ * Write @p body into @p dir (created if missing) as @p file_name.
+ * Returns the path written, or an empty string with @p err set.
+ */
+std::string writeFileTo(const std::string &dir,
+                        const std::string &file_name,
+                        const std::string &body, std::string *err);
 
 } // namespace uhtm::exec
 

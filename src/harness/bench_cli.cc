@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/json.hh"
@@ -69,32 +69,16 @@ sweepConfig(const BenchCliOpts &opts)
 }
 
 /**
- * Write the TIMING_<figure>.json host-timing sidecar: the sweep's wall
- * clock and throughput, and each job's host seconds by key. Everything
- * in it is host-dependent, so it is deliberately named outside the
- * BENCH_* and METRICS_* golden globs and must never be byte-compared.
+ * The TIMING_<figure>.json host-timing sidecar: the sweep's wall clock
+ * and throughput, and each job's host seconds by key. Everything in it
+ * is host-dependent, so it is deliberately named outside the BENCH_*
+ * and METRICS_* golden globs and must never be byte-compared.
  */
-bool
-writeTimingSidecar(const std::string &dir, const std::string &figure,
-                   double wall_seconds,
-                   const std::vector<exec::JobResult> &results,
-                   unsigned threads, std::uint64_t events,
-                   std::string &err)
+std::string
+timingSidecar(const std::string &figure, double wall_seconds,
+              const std::vector<exec::JobResult> &results,
+              unsigned threads, std::uint64_t events)
 {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        err = "cannot create " + dir + ": " + ec.message();
-        return false;
-    }
-    const std::string path =
-        (fs::path(dir) / ("TIMING_" + figure + ".json")).string();
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        err = "cannot open " + path;
-        return false;
-    }
     exec::JsonWriter w;
     w.beginObject();
     w.field("figure", figure);
@@ -115,76 +99,51 @@ writeTimingSidecar(const std::string &dir, const std::string &figure,
     }
     w.endArray();
     w.endObject();
-    const std::string body = w.str() + "\n";
-    const bool wrote = std::fwrite(body.data(), 1, body.size(), f) ==
-                       body.size();
-    if (std::fclose(f) != 0 || !wrote) {
-        err = "write failed: " + path;
-        return false;
-    }
-    std::printf("wrote %s\n", path.c_str());
-    return true;
+    return w.str() + "\n";
 }
 
 /**
- * Write the PROFILE_<figure>.json self-profiler sidecar. The ns/count
- * values are host wall-clock samples (host-dependent, like TIMING_*,
- * never golden-compared); the schema is deterministic: every ProfScope
- * is always emitted, at zero if never entered, in enum order, so the
- * key set is byte-identical across --jobs=1 and --jobs=8.
+ * The PROFILE_<figure>.json sampled-profiler sidecar. The samples are
+ * host-dependent, like TIMING_*, and never golden-compared; the schema
+ * is deterministic: every layer is always emitted, at zero if never
+ * sampled, in enum order, so the key set is byte-identical across
+ * --jobs=1 and --jobs=8.
  */
-bool
-writeProfileSidecar(const std::string &dir, const std::string &figure,
-                    double wall_seconds, unsigned threads,
-                    std::string &err)
+std::string
+profileSidecar(const std::string &figure, double wall_seconds,
+               unsigned threads)
 {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        err = "cannot create " + dir + ": " + ec.message();
-        return false;
+    std::uint64_t total = 0;
+    for (unsigned i = 0; i < obs::kLayerCount; ++i)
+        total += obs::layerSamples(static_cast<obs::Layer>(i));
+    const double cpu = obs::sampledCpuSeconds();
+    exec::JsonWriter w;
+    w.beginObject();
+    w.field("schema", "uhtm-profile-v2");
+    w.field("figure", figure);
+    w.field("wall_seconds", wall_seconds);
+    w.field("threads", static_cast<std::uint64_t>(threads));
+    w.field("sample_period_s", obs::kSamplePeriodS);
+    w.field("cpu_seconds", cpu);
+    w.field("samples", total);
+    w.key("layers");
+    w.beginObject();
+    for (unsigned i = 0; i < obs::kLayerCount; ++i) {
+        const auto l = static_cast<obs::Layer>(i);
+        const std::uint64_t n = obs::layerSamples(l);
+        const double share =
+            total ? static_cast<double>(n) / static_cast<double>(total)
+                  : 0.0;
+        w.key(obs::layerName(l));
+        w.beginObject();
+        w.field("samples", n);
+        w.field("share", share);
+        w.field("self_s", share * cpu);
+        w.endObject();
     }
-    const std::string path =
-        (fs::path(dir) / ("PROFILE_" + figure + ".json")).string();
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        err = "cannot open " + path;
-        return false;
-    }
-    std::uint64_t attributed = 0;
-    for (unsigned i = 0; i < obs::kProfScopeCount; ++i)
-        attributed +=
-            obs::SelfProfiler::scopeNs(static_cast<obs::ProfScope>(i));
-    std::fprintf(f,
-                 "{\n"
-                 "  \"schema\": \"uhtm-profile-v1\",\n"
-                 "  \"figure\": \"%s\",\n"
-                 "  \"wall_seconds\": %.6f,\n"
-                 "  \"threads\": %u,\n"
-                 "  \"attributed_ns\": %llu,\n"
-                 "  \"scopes\": {\n",
-                 figure.c_str(), wall_seconds, threads,
-                 static_cast<unsigned long long>(attributed));
-    for (unsigned i = 0; i < obs::kProfScopeCount; ++i) {
-        const auto s = static_cast<obs::ProfScope>(i);
-        std::fprintf(f,
-                     "    \"%s\": {\"self_ns\": %llu, "
-                     "\"samples\": %llu}%s\n",
-                     obs::profScopeName(s),
-                     static_cast<unsigned long long>(
-                         obs::SelfProfiler::scopeNs(s)),
-                     static_cast<unsigned long long>(
-                         obs::SelfProfiler::scopeCount(s)),
-                     i + 1 < obs::kProfScopeCount ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    if (std::fclose(f) != 0) {
-        err = "write failed: " + path;
-        return false;
-    }
-    std::printf("wrote %s\n", path.c_str());
-    return true;
+    w.endObject();
+    w.endObject();
+    return w.str() + "\n";
 }
 
 } // namespace
@@ -221,8 +180,8 @@ benchFlagsHelp()
            "(uhtm_trace reads them)\n"
            "  --wall        write TIMING_<figure>.json host-timing "
            "sidecar (needs --out)\n"
-           "  --self-profile write PROFILE_<figure>.json subsystem "
-           "wall-clock profile (needs --out)\n";
+           "  --self-profile write PROFILE_<figure>.json sampled host "
+           "CPU time by simulator layer (needs --out)\n";
 }
 
 bool
@@ -304,6 +263,16 @@ parseBenchArgs(int argc, char **argv, int firstArg, BenchCliOpts &opts,
             return false;
         }
     }
+    // These flags only name files written into --out's directory.
+    for (const auto &[on, flag] : {std::pair{opts.metrics, "--metrics"},
+                                   std::pair{opts.wall, "--wall"},
+                                   std::pair{opts.selfProfile,
+                                             "--self-profile"}}) {
+        if (on && opts.outDir.empty()) {
+            err = std::string(flag) + " needs --out=DIR";
+            return false;
+        }
+    }
     return true;
 }
 
@@ -339,8 +308,14 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
         obs::setTraceDir(opts.traceDir);
 
     if (opts.selfProfile) {
-        obs::SelfProfiler::reset();
-        obs::SelfProfiler::setEnabled(true);
+        obs::installLayerSampler();
+        obs::resetLayerSamples();
+        for (exec::Job &j : jobs) {
+            j.run = [run = std::move(j.run)](std::uint64_t seed) {
+                obs::LayerSampler sampler;
+                return run(seed);
+            };
+        }
     }
 
     exec::SweepScheduler scheduler({opts.jobs, opts.fig.seed});
@@ -350,8 +325,6 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    if (opts.selfProfile)
-        obs::SelfProfiler::setEnabled(false);
 
     figure.render(opts.fig, results, stdout);
 
@@ -364,55 +337,40 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
         }
     }
 
-    if (!opts.outDir.empty()) {
-        exec::ResultSink sink(figure.name, opts.fig.seed,
-                              sweepConfig(opts));
-        std::string err;
-        const std::string path =
-            sink.writeTo(opts.outDir, results, &err);
-        if (path.empty()) {
-            std::fprintf(stderr, "JSON emission failed: %s\n",
-                         err.c_str());
-            return 1;
-        }
-        std::printf("wrote %s\n", path.c_str());
-
-        if (opts.metrics) {
-            const std::string mpath =
-                sink.writeMetricsTo(opts.outDir, results, &err);
-            if (mpath.empty()) {
-                std::fprintf(stderr, "metrics emission failed: %s\n",
-                             err.c_str());
-                return 1;
-            }
-            std::printf("wrote %s\n", mpath.c_str());
-        }
-    }
-
     // Simulated events executed across the sweep (host-side metric;
     // ResultSink never serializes it into the deterministic JSON).
     std::uint64_t events = 0;
     for (const exec::JobResult &r : results)
         events += r.metrics.hostEventsExecuted;
 
-    if (opts.wall && !opts.outDir.empty()) {
-        std::string terr;
-        if (!writeTimingSidecar(opts.outDir, figure.name, wallSeconds,
-                                results, scheduler.threads(), events,
-                                terr)) {
-            std::fprintf(stderr, "timing emission failed: %s\n",
-                         terr.c_str());
-            return 1;
-        }
-    }
-
-    if (opts.selfProfile && !opts.outDir.empty()) {
-        std::string perr;
-        if (!writeProfileSidecar(opts.outDir, figure.name, wallSeconds,
-                                 scheduler.threads(), perr)) {
-            std::fprintf(stderr, "profile emission failed: %s\n",
-                         perr.c_str());
-            return 1;
+    if (!opts.outDir.empty()) {
+        // (file name, body) of every file this sweep writes.
+        const exec::ResultSink sink(figure.name, opts.fig.seed,
+                                    sweepConfig(opts));
+        std::vector<std::pair<std::string, std::string>> files;
+        files.emplace_back(sink.fileName(), sink.json(results));
+        if (opts.metrics)
+            files.emplace_back(sink.metricsFileName(),
+                               sink.metricsJson(results));
+        if (opts.wall)
+            files.emplace_back("TIMING_" + figure.name + ".json",
+                               timingSidecar(figure.name, wallSeconds,
+                                             results, scheduler.threads(),
+                                             events));
+        if (opts.selfProfile)
+            files.emplace_back("PROFILE_" + figure.name + ".json",
+                               profileSidecar(figure.name, wallSeconds,
+                                              scheduler.threads()));
+        for (const auto &[name, body] : files) {
+            std::string err;
+            const std::string path =
+                exec::writeFileTo(opts.outDir, name, body, &err);
+            if (path.empty()) {
+                std::fprintf(stderr, "cannot write %s: %s\n",
+                             name.c_str(), err.c_str());
+                return 1;
+            }
+            std::printf("wrote %s\n", path.c_str());
         }
     }
 

@@ -24,11 +24,14 @@
  *                 (one .uhtmtrace file per run; read with uhtm_trace)
  *   --wall        write a TIMING_<figure>.json sidecar (host wall
  *                 clock and events/sec; never golden-compared)
- *   --self-profile enable the sampling self-profiler and write a
- *                 PROFILE_<figure>.json sidecar attributing host
- *                 wall-clock to simulator subsystems (schema is
- *                 deterministic; the times are host-dependent and
+ *   --self-profile sample each job's host CPU time by simulator layer
+ *                 (obs/self_profile.hh) and write a
+ *                 PROFILE_<figure>.json sidecar (schema is
+ *                 deterministic; the samples are host-dependent and
  *                 never golden-compared)
+ *
+ * --metrics, --wall and --self-profile name files in --out's
+ * directory; parseBenchArgs rejects them without --out.
  */
 
 #ifndef UHTM_HARNESS_BENCH_CLI_HH
@@ -57,10 +60,11 @@ struct BenchCliOpts
      *  --out). Host-dependent by nature: excluded from the golden
      *  byte comparisons, which only cover BENCH_* and METRICS_*. */
     bool wall = false;
-    /** Enable the subsystem self-profiler and write the
-     *  PROFILE_<figure>.json sidecar (needs --out). The times are
-     *  host-dependent like TIMING_*, but the schema — scope key set
-     *  and order — is fixed and identical across --jobs values. */
+    /** Sample every job's thread with a CPU-time SIGPROF timer and
+     *  write the PROFILE_<figure>.json sidecar (needs --out). The
+     *  samples are host-dependent like TIMING_*, but the schema —
+     *  layer key set and order — is fixed and identical across
+     *  --jobs values. */
     bool selfProfile = false;
     /** Binary lifecycle-event trace directory; empty = no tracing. */
     std::string traceDir;
@@ -77,7 +81,8 @@ struct BenchCliOpts
 
 /**
  * Parse flags from argv[firstArg..). Returns false and sets @p err on
- * an unknown or malformed argument.
+ * an unknown or malformed argument, or on an output flag without
+ * --out.
  */
 bool parseBenchArgs(int argc, char **argv, int firstArg,
                     BenchCliOpts &opts, std::string &err);

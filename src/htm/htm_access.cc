@@ -18,6 +18,7 @@ namespace uhtm
 HtmSystem::Resolution
 HtmSystem::onChipConflictCheck(CacheLine &s, TxDesc *req, bool is_write)
 {
+    obs::LayerScope tag(obs::Layer::OnChipCheck);
     // Collect live conflicting transactions from the directory fields.
     TxDesc *writer =
         s.txWriter != kNoTx ? _tss.byId(s.txWriter) : nullptr;
@@ -73,7 +74,7 @@ HtmSystem::Resolution
 HtmSystem::offChipConflictCheck(Addr line, TxDesc *req,
                                 DomainId req_domain, bool is_write)
 {
-    UHTM_SELF_PROFILE_SCOPE(Signatures);
+    obs::LayerScope tag(obs::Layer::OffChipWalk);
     const bool precise = _policy.offChip == OffChipDetection::Precise;
     const auto &cands = _policy.signatureIsolation
                             ? _tss.activeInDomain(req_domain)
@@ -253,6 +254,7 @@ HtmSystem::handleChipEviction(const CacheLine &ev, Tick t)
 
         if (MemLayout::kindOf(line) == MemKind::Dram) {
             if (_policy.dramLog == DramOverflowLog::Undo) {
+                obs::LayerScope logs(obs::Layer::Logs);
                 if (_undoLog.full()) {
                     // Trap the OS to expand the log area (paper IV-E).
                     _undoLog.expand(_mcfg.logAreaBytes / 4);
@@ -310,7 +312,7 @@ AccessResult
 HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
                        bool is_write, bool whole_line, std::uint64_t wdata)
 {
-    UHTM_SELF_PROFILE_SCOPE(Llc);
+    obs::LayerScope tag(obs::Layer::L1);
     assert(core < _mcfg.cores);
     assert(MemLayout::isSoftwareVisible(addr) &&
            "software access outside DRAM/NVM regions");
@@ -359,6 +361,7 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
             registerTxAtDirectory(line, tx, is_write);
     } else {
         // L1 miss or upgrade: consult the directory at the LLC.
+        obs::LayerScope dir(obs::Layer::Directory);
         t += _mcfg.l1Latency + _mcfg.llcLatency;
         CacheLine *s = _llc.lookup(line);
         if (s) {
@@ -452,6 +455,7 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
         if (!l) {
             // Same in-place pattern; the handler reads the victim and
             // the LLC, never this L1.
+            obs::LayerScope fill(obs::Layer::L1);
             bool had_l1 = false;
             l = l1.victimFor(line, had_l1);
             if (had_l1)
@@ -495,6 +499,7 @@ HtmSystem::issueAccess(CoreId core, DomainId domain, Addr addr,
                 std::memcpy(buf.data() + (word - line), &wdata, 8);
             }
             if (MemLayout::kindOf(line) == MemKind::Nvm) {
+                obs::LayerScope logs(obs::Layer::Logs);
                 if (_redoLog.full()) {
                     // Trap the OS to expand the log area (paper IV-E).
                     _redoLog.expand(_mcfg.logAreaBytes / 4);

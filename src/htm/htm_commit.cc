@@ -28,7 +28,7 @@ namespace uhtm
 Tick
 HtmSystem::issueCommit(CoreId core)
 {
-    UHTM_SELF_PROFILE_SCOPE(Commit);
+    obs::LayerScope tag(obs::Layer::Commit);
     TxDesc *tx = _coreTx[core];
     assert(tx && "commit without a running transaction");
     assert(!tx->abortRequested && "doomed transaction must abort");
@@ -199,7 +199,7 @@ HtmSystem::issueCommit(CoreId core)
 Tick
 HtmSystem::issueAbort(CoreId core)
 {
-    UHTM_SELF_PROFILE_SCOPE(Abort);
+    obs::LayerScope tag(obs::Layer::Abort);
     TxDesc *tx = _coreTx[core];
     assert(tx && "abort without a running transaction");
     assert(tx->abortRequested && "abort protocol needs a doomed tx");

@@ -16,6 +16,7 @@
 #include "htm/conflict_policy.hh"
 #include "obs/self_profile.hh"
 #include "obs/tracer.hh"
+#include "sim/task.hh"
 
 namespace uhtm
 {
@@ -109,7 +110,7 @@ HtmSystem::flushDurableWrites(Tick upTo)
 {
     if (_durablePending.empty())
         return;
-    UHTM_SELF_PROFILE_SCOPE(LogDrain);
+    obs::LayerScope tag(obs::Layer::Logs);
     // The batch is in append order; keep that order among the
     // not-yet-due survivors and apply the due entries sorted stably by
     // due — i.e. in (due, append) order, so the last write to a line
@@ -237,7 +238,7 @@ HtmSystem::releaseDomainLock(TxDesc *tx, Tick at)
         auto waiters = std::move(d.waiters);
         d.waiters.clear();
         for (auto h : waiters)
-            _eq.schedule(0, [h] { h.resume(); });
+            _eq.schedule(0, [h] { resumeWorkload(h); });
     });
 }
 

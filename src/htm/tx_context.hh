@@ -58,7 +58,7 @@ class MemOp
                                                 _isWrite, _wholeLine,
                                                 _wdata);
         _data = r.data;
-        _sys.eventQueue().scheduleAt(r.completeAt, [h] { h.resume(); });
+        _sys.eventQueue().scheduleAt(r.completeAt, [h] { resumeWorkload(h); });
     }
 
     /** @throws TxAborted if this core's transaction is doomed. */
@@ -109,7 +109,7 @@ class BurstOp
             if (r.completeAt > done)
                 done = r.completeAt;
         }
-        _sys.eventQueue().scheduleAt(done, [h] { h.resume(); });
+        _sys.eventQueue().scheduleAt(done, [h] { resumeWorkload(h); });
     }
 
     void
@@ -140,7 +140,7 @@ class CommitOp
     await_suspend(std::coroutine_handle<> h)
     {
         const Tick done = _sys.issueCommit(_core);
-        _sys.eventQueue().scheduleAt(done, [h] { h.resume(); });
+        _sys.eventQueue().scheduleAt(done, [h] { resumeWorkload(h); });
     }
 
     void await_resume() const noexcept {}
@@ -165,7 +165,7 @@ class AbortOp
     await_suspend(std::coroutine_handle<> h)
     {
         const Tick done = _sys.issueAbort(_core) + _backoff;
-        _sys.eventQueue().scheduleAt(done, [h] { h.resume(); });
+        _sys.eventQueue().scheduleAt(done, [h] { resumeWorkload(h); });
     }
 
     void await_resume() const noexcept {}

@@ -14,6 +14,7 @@ DramCache::DramCache(std::uint64_t size_bytes, unsigned ways)
 DramCacheEntry *
 DramCache::lookup(Addr line_base)
 {
+    obs::LayerScope tag(obs::Layer::DramCache);
     DramCacheEntry *e = peek(line_base);
     if (e && !e->invalidated) {
         ++_stats.hits;
@@ -59,7 +60,7 @@ DramCache::evict(DramCacheEntry &victim)
 DramCacheEntry *
 DramCache::insert(Addr line_base, TxId tx)
 {
-    UHTM_SELF_PROFILE_SCOPE(DramCache);
+    obs::LayerScope tag(obs::Layer::DramCache);
     if (DramCacheEntry *e = peek(line_base)) {
         // Refresh in place; a new transactional write supersedes an
         // invalidated or committed entry for the same line.
@@ -120,6 +121,7 @@ bool
 DramCache::commitEntry(Addr line_base, TxId tx,
                        const std::array<std::uint8_t, kLineBytes> &data)
 {
+    obs::LayerScope tag(obs::Layer::DramCache);
     DramCacheEntry *e = peek(line_base);
     if (!e || e->tx != tx || e->invalidated)
         return false;
@@ -132,6 +134,7 @@ DramCache::commitEntry(Addr line_base, TxId tx,
 void
 DramCache::abortTx(TxId tx)
 {
+    obs::LayerScope tag(obs::Layer::DramCache);
     _sets.forEach([&](DramCacheEntry &e) {
         if (e.tx == tx) {
             e.invalidated = true;
@@ -143,6 +146,7 @@ DramCache::abortTx(TxId tx)
 void
 DramCache::invalidateEntry(Addr line_base, TxId tx)
 {
+    obs::LayerScope tag(obs::Layer::DramCache);
     if (DramCacheEntry *e = peek(line_base)) {
         if (e->tx == tx) {
             e->invalidated = true;
@@ -154,7 +158,7 @@ DramCache::invalidateEntry(Addr line_base, TxId tx)
 void
 DramCache::flushAll()
 {
-    UHTM_SELF_PROFILE_SCOPE(DramCache);
+    obs::LayerScope tag(obs::Layer::DramCache);
     _sets.forEach([&](DramCacheEntry &e) {
         if (!e.invalidated && e.tx == kNoTx && e.dirty) {
             ++_stats.writeBacks;

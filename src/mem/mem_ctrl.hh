@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/self_profile.hh"
 #include "sim/types.hh"
 
 namespace uhtm
@@ -62,6 +63,7 @@ class MemCtrl
     Tick
     access(Tick earliest, bool is_write, bool is_log = false)
     {
+        obs::LayerScope tag(obs::Layer::MemCtrl);
         const Tick start = std::max(earliest, _nextFree);
         _stats.queueDelay += start - earliest;
         _nextFree = start + _slot;

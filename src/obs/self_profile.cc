@@ -1,111 +1,117 @@
 #include "obs/self_profile.hh"
 
-#include <chrono>
+#include <csignal>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
+#include <iterator>
+#include <mutex>
+#include <system_error>
 
 namespace uhtm::obs
 {
 
-std::atomic<bool> SelfProfiler::_enabled{false};
-std::atomic<std::uint64_t> SelfProfiler::_ns[kProfScopeCount]{};
-std::atomic<std::uint64_t> SelfProfiler::_count[kProfScopeCount]{};
-
 namespace
 {
 
-/** Monotonic host clock in nanoseconds. */
-std::uint64_t
-nowNs()
+std::atomic<std::uint64_t> g_samples[kLayerCount];
+std::atomic<std::uint64_t> g_cpuNs{0};
+
+void
+onProf(int)
 {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+    g_samples[static_cast<unsigned>(t_layer)].fetch_add(
+        1, std::memory_order_relaxed);
 }
 
-/**
- * Per-thread running total of time already attributed to finished
- * nested scopes. A ProfTimer snapshots it on entry; whatever its
- * children added by exit time is subtracted from its own elapsed time,
- * yielding self-time without a per-entry stack walk.
- */
-thread_local std::uint64_t t_childNs = 0;
+std::uint64_t
+threadCpuNs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
+           static_cast<std::uint64_t>(ts.tv_nsec);
+}
 
 } // namespace
 
 const char *
-profScopeName(ProfScope s)
+layerName(Layer l)
 {
-    switch (s) {
-    case ProfScope::EventQueue:
-        return "event_queue";
-    case ProfScope::Llc:
-        return "llc";
-    case ProfScope::DramCache:
-        return "dram_cache";
-    case ProfScope::Signatures:
-        return "signatures";
-    case ProfScope::LogDrain:
-        return "log_drain";
-    case ProfScope::Commit:
-        return "commit";
-    case ProfScope::Abort:
-        return "abort";
-    case ProfScope::Count:
-        break;
-    }
-    return "?";
+    static constexpr const char *kNames[] = {
+        "event_queue",  "l1",         "directory", "onchip_check",
+        "offchip_walk", "dram_cache", "mem_ctrl",  "logs",
+        "commit",       "abort",      "workload",  "other"};
+    static_assert(std::size(kNames) == kLayerCount);
+    return kNames[static_cast<unsigned>(l)];
 }
 
 void
-SelfProfiler::reset()
+installLayerSampler()
 {
-    for (unsigned i = 0; i < kProfScopeCount; ++i) {
-        _ns[i].store(0, std::memory_order_relaxed);
-        _count[i].store(0, std::memory_order_relaxed);
-    }
+    static std::once_flag once;
+    std::call_once(once, [] {
+        struct sigaction sa = {};
+        sa.sa_handler = onProf;
+        sa.sa_flags = SA_RESTART;
+        sigemptyset(&sa.sa_mask);
+        if (sigaction(SIGPROF, &sa, nullptr) != 0)
+            throw std::system_error(errno, std::generic_category(),
+                                    "sigaction(SIGPROF)");
+    });
+}
+
+void
+resetLayerSamples()
+{
+    for (auto &s : g_samples)
+        s.store(0, std::memory_order_relaxed);
+    g_cpuNs.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t
-SelfProfiler::scopeNs(ProfScope s)
+layerSamples(Layer l)
 {
-    return _ns[static_cast<unsigned>(s)].load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-SelfProfiler::scopeCount(ProfScope s)
-{
-    return _count[static_cast<unsigned>(s)].load(
+    return g_samples[static_cast<unsigned>(l)].load(
         std::memory_order_relaxed);
 }
 
-void
-SelfProfiler::addNs(ProfScope s, std::uint64_t ns, std::uint64_t n)
+double
+sampledCpuSeconds()
 {
-    const unsigned i = static_cast<unsigned>(s);
-    _ns[i].fetch_add(ns, std::memory_order_relaxed);
-    _count[i].fetch_add(n, std::memory_order_relaxed);
+    return static_cast<double>(g_cpuNs.load(std::memory_order_relaxed)) /
+           1e9;
 }
 
-void
-ProfTimer::begin(ProfScope s)
+LayerSampler::LayerSampler()
 {
-    _scope = s;
-    _childNsAtStart = t_childNs;
-    _startNs = nowNs();
-    _armed = true;
+    sigevent sev = {};
+    sev.sigev_notify = SIGEV_THREAD_ID;
+    sev.sigev_signo = SIGPROF;
+    // glibc before 2.35 has no sigev_notify_thread_id alias.
+    sev._sigev_un._tid = static_cast<pid_t>(syscall(SYS_gettid));
+    if (timer_create(CLOCK_THREAD_CPUTIME_ID, &sev, &_timer) != 0)
+        throw std::system_error(errno, std::generic_category(),
+                                "timer_create");
+    itimerspec its = {};
+    its.it_interval.tv_nsec = static_cast<long>(kSamplePeriodS * 1e9);
+    its.it_value = its.it_interval;
+    if (timer_settime(_timer, 0, &its, nullptr) != 0) {
+        const int err = errno;
+        timer_delete(_timer);
+        throw std::system_error(err, std::generic_category(),
+                                "timer_settime");
+    }
+    _cpuStartNs = threadCpuNs();
 }
 
-void
-ProfTimer::end()
+LayerSampler::~LayerSampler()
 {
-    const std::uint64_t end = nowNs();
-    const std::uint64_t elapsed = end - _startNs;
-    const std::uint64_t child = t_childNs - _childNsAtStart;
-    const std::uint64_t self = elapsed > child ? elapsed - child : 0;
-    SelfProfiler::addNs(_scope, self, 1);
-    // Credit the full elapsed time (self + nested) to the parent's
-    // child total so the parent subtracts it exactly once.
-    t_childNs = _childNsAtStart + elapsed;
+    timer_delete(_timer);
+    g_cpuNs.fetch_add(threadCpuNs() - _cpuStartNs,
+                      std::memory_order_relaxed);
 }
 
 } // namespace uhtm::obs

@@ -1,136 +1,114 @@
 /**
  * @file
- * Sampling self-profiler: attributes simulator host wall-clock to a
- * fixed set of subsystem scopes (event queue, LLC access path, DRAM
- * cache, signatures, log drain, commit/abort protocols).
+ * Sampled host profiler: which simulator layer the host CPU time of a
+ * sweep went to (`uhtm_bench --self-profile`).
  *
- * This profiles the *simulator*, not the simulated machine: the output
- * is host-dependent by nature and is emitted into PROFILE_<figure>.json
- * sidecars that — like TIMING_* — are never golden-compared. What IS
- * deterministic is the schema: the scope set is a fixed enum, every
- * scope is always emitted (even at zero), and the emission order is the
- * enum order, so the key set is identical across --jobs=1 and --jobs=8
- * (a test asserts this).
+ * Every thread carries a one-byte layer tag. Code enters a layer with
+ * a LayerScope, which stores the new tag and restores the old one on
+ * exit: one thread-local store each way, no clock read, no atomics and
+ * no on/off branch, so the tags are always maintained. A LayerScope
+ * never lives across a co_await: a suspended workload frame holds no
+ * tag, and the event callback that resumes it tags the workload layer.
  *
- * Design constraints:
- *  - Zero perturbation of simulated state: the profiler only reads the
- *    host clock and touches its own accumulators, so golden BENCH and
- *    METRICS bytes are identical with and without --self-profile.
- *  - Near-zero cost when disabled: every scope entry is one relaxed
- *    atomic bool load and a predictable branch.
- *  - Self-time attribution: nested scopes subtract their time from the
- *    enclosing scope (a signatures probe inside the access path counts
- *    toward "signatures", not "llc"), so the scope times plus the
- *    unattributed remainder sum to the sampled total.
- *  - Thread safety: worker threads keep thread-local scope stacks and
- *    flush into global relaxed atomics on every scope exit; the sweep
- *    scheduler's workers therefore aggregate without locks.
+ * Sampling is separate and opt-in. installLayerSampler() installs a
+ * SIGPROF handler; each LayerSampler arms a CLOCK_THREAD_CPUTIME_ID
+ * timer that sends its thread SIGPROF every kSamplePeriodS of that
+ * thread's CPU time, and the handler adds one to the counter of the
+ * thread's current layer. A layer's share of the samples times the
+ * sampled threads' measured CPU seconds estimates its self time.
+ * Nothing is installed at static initialization: a program that links
+ * this library and runs its own SIGPROF sampler is left alone unless
+ * it calls installLayerSampler().
+ *
+ * The simulation never reads the tag or the counters, so golden BENCH
+ * and METRICS bytes are identical with and without sampling.
  */
 
 #ifndef UHTM_OBS_SELF_PROFILE_HH
 #define UHTM_OBS_SELF_PROFILE_HH
 
-#include <atomic>
+#include <ctime>
+
 #include <cstdint>
 
 namespace uhtm::obs
 {
 
-/** Fixed scope set; also the PROFILE json key order. */
-enum class ProfScope : unsigned
+/** Simulator layers; also the PROFILE json key order. */
+enum class Layer : std::uint8_t
 {
-    EventQueue = 0, ///< event pop/dispatch machinery
-    Llc,            ///< timed access path (L1/LLC/directory)
-    DramCache,      ///< DRAM-cache fills, evictions, maintenance
-    Signatures,     ///< bloom probes, inserts, summary filters
-    LogDrain,       ///< durable-image drains and log maintenance
-    Commit,         ///< commit protocol
-    Abort,          ///< abort protocol
+    EventQueue,  ///< event pop/dispatch and untagged callbacks
+    L1,          ///< private-cache lookup, fill and eviction
+    Directory,   ///< directory/LLC lookup, coherence, LLC eviction
+    OnChipCheck, ///< on-chip (directory) conflict check
+    OffChipWalk, ///< off-chip signature walk on LLC misses
+    DramCache,   ///< DRAM-cache lookup, fill, commit and invalidation
+    MemCtrl,     ///< DRAM/NVM memory-controller slot accounting
+    Logs,        ///< undo/redo log appends and durable-image drains
+    Commit,      ///< commit protocol
+    Abort,       ///< abort protocol
+    Workload,    ///< workload coroutine frames
+    Other,       ///< untagged: machine build, teardown, harness
     Count
 };
 
-constexpr unsigned kProfScopeCount =
-    static_cast<unsigned>(ProfScope::Count);
+constexpr unsigned kLayerCount = static_cast<unsigned>(Layer::Count);
 
-/** Stable json key for one scope. */
-const char *profScopeName(ProfScope s);
+/** Stable json key for one layer. */
+const char *layerName(Layer l);
 
-/** Global on/off switch and accumulators for the self-profiler. */
-class SelfProfiler
+/** The calling thread's current layer. Volatile so a tag store is
+ *  never elided: the SIGPROF handler reads it asynchronously. */
+inline constinit thread_local volatile Layer t_layer = Layer::Other;
+
+/** Tags the calling thread with a layer for the object's lifetime. */
+class LayerScope
 {
   public:
-    /** Enable/disable sampling (also used by --self-profile). */
-    static void setEnabled(bool on)
-    {
-        _enabled.store(on, std::memory_order_relaxed);
-    }
+    explicit LayerScope(Layer l) : _saved(t_layer) { t_layer = l; }
+    ~LayerScope() { t_layer = _saved; }
 
-    static bool enabled()
-    {
-        return _enabled.load(std::memory_order_relaxed);
-    }
-
-    /** Zero all accumulators (start of a profiled sweep). */
-    static void reset();
-
-    /** Accumulated self-time of @p s in host nanoseconds. */
-    static std::uint64_t scopeNs(ProfScope s);
-
-    /** Number of scope entries sampled for @p s. */
-    static std::uint64_t scopeCount(ProfScope s);
-
-    /** @name Internal accumulation (used by ProfTimer)
-     *  @{ */
-    static void addNs(ProfScope s, std::uint64_t ns, std::uint64_t n);
-    /** @} */
+    LayerScope(const LayerScope &) = delete;
+    LayerScope &operator=(const LayerScope &) = delete;
 
   private:
-    static std::atomic<bool> _enabled;
-    static std::atomic<std::uint64_t> _ns[kProfScopeCount];
-    static std::atomic<std::uint64_t> _count[kProfScopeCount];
+    Layer _saved;
 };
 
-/**
- * RAII scope sample. Cheap no-op when the profiler is disabled; when
- * enabled, reads the host clock on entry and exit and attributes the
- * elapsed time to the scope, minus any nested scopes' time (self-time).
- */
-class ProfTimer
+/** Requested sampling period in seconds of the sampled thread's CPU
+ *  time. The kernel fires CPU-time timers on its scheduler tick, so
+ *  the effective period can be longer; self_s estimates scale sample
+ *  shares by measured CPU time instead of multiplying by this. */
+inline constexpr double kSamplePeriodS = 0.001;
+
+/** Install the SIGPROF handler (idempotent). Must precede the first
+ *  LayerSampler: an unhandled SIGPROF terminates the process. */
+void installLayerSampler();
+
+/** Zero the sample counters and the sampled CPU time. */
+void resetLayerSamples();
+
+/** Samples taken while the sampled thread was in @p l. */
+std::uint64_t layerSamples(Layer l);
+
+/** CPU seconds of every finished LayerSampler since the last reset. */
+double sampledCpuSeconds();
+
+/** Samples the calling thread for the lifetime of the object and adds
+ *  the thread's CPU time over that lifetime to sampledCpuSeconds(). */
+class LayerSampler
 {
   public:
-    explicit ProfTimer(ProfScope s)
-    {
-        if (SelfProfiler::enabled()) [[unlikely]]
-            begin(s);
-    }
+    LayerSampler();
+    ~LayerSampler();
 
-    ~ProfTimer()
-    {
-        if (_armed)
-            end();
-    }
-
-    ProfTimer(const ProfTimer &) = delete;
-    ProfTimer &operator=(const ProfTimer &) = delete;
+    LayerSampler(const LayerSampler &) = delete;
+    LayerSampler &operator=(const LayerSampler &) = delete;
 
   private:
-    void begin(ProfScope s);
-    void end();
-
-    ProfScope _scope = ProfScope::Count;
-    std::uint64_t _startNs = 0;
-    /** Nested scopes' time at entry (per-thread running total). */
-    std::uint64_t _childNsAtStart = 0;
-    bool _armed = false;
+    timer_t _timer{};
+    std::uint64_t _cpuStartNs = 0;
 };
-
-#define UHTM_PROF_CONCAT2(a, b) a##b
-#define UHTM_PROF_CONCAT(a, b) UHTM_PROF_CONCAT2(a, b)
-
-/** Sample a subsystem scope (no-op unless --self-profile). */
-#define UHTM_SELF_PROFILE_SCOPE(scope) \
-    ::uhtm::obs::ProfTimer UHTM_PROF_CONCAT(uhtm_prof_timer_, __LINE__)( \
-        ::uhtm::obs::ProfScope::scope)
 
 } // namespace uhtm::obs
 

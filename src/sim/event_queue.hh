@@ -344,9 +344,8 @@ class EventQueue
     void
     execute(const Next &n)
     {
-        // Self-profiler scope: queue machinery plus any callback work
-        // not claimed by a nested subsystem scope.
-        UHTM_SELF_PROFILE_SCOPE(EventQueue);
+        // Queue machinery plus any callback work no nested scope tags.
+        obs::LayerScope tag(obs::Layer::EventQueue);
         Callback cb;
         if (n.fromFar) {
             std::pop_heap(_far.begin(), _far.end(), FarAfter{});

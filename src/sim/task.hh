@@ -17,6 +17,7 @@
 #include <exception>
 #include <utility>
 
+#include "obs/self_profile.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
@@ -91,8 +92,10 @@ class Task
     void
     start()
     {
-        if (_h && !_h.promise().finished)
+        if (_h && !_h.promise().finished) {
+            obs::LayerScope tag(obs::Layer::Workload);
             _h.resume();
+        }
     }
 
     /** True once the coroutine body has run to completion. */
@@ -113,6 +116,17 @@ class Task
 
     Handle _h;
 };
+
+/**
+ * Resume a suspended workload coroutine from an event callback, tagging
+ * the host time until its next suspension as workload time.
+ */
+inline void
+resumeWorkload(std::coroutine_handle<> h)
+{
+    obs::LayerScope tag(obs::Layer::Workload);
+    h.resume();
+}
 
 /**
  * Awaitable that suspends the current coroutine and passes its handle to
@@ -146,7 +160,7 @@ inline auto
 delayFor(EventQueue &eq, Tick delay)
 {
     return SuspendInto{[&eq, delay](std::coroutine_handle<> h) {
-        eq.schedule(delay, [h] { h.resume(); });
+        eq.schedule(delay, [h] { resumeWorkload(h); });
     }};
 }
 

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -123,6 +125,44 @@ TEST(BenchSmoke, TimingSidecarListsEachJobsHostSeconds)
     EXPECT_EQ(json.find("\"key\"", pos), std::string::npos)
         << "one entry per job:\n" << json;
 }
+
+/**
+ * --metrics, --wall and --self-profile only name files in --out's
+ * directory: without --out the built uhtm_bench must refuse to run
+ * (exit 2, one clear line on stderr) rather than silently write
+ * nothing.
+ */
+class OutputFlagWithoutOut : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(OutputFlagWithoutOut, ExitsTwo)
+{
+    const std::string cmd = std::string(UHTM_TOOLS_DIR) +
+                            "/uhtm_bench fig2 --tiny --jobs=1 " +
+                            GetParam() + " 2>&1 >/dev/null";
+    FILE *p = popen(cmd.c_str(), "r");
+    ASSERT_NE(p, nullptr);
+    std::string err;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), p))
+        err += buf;
+    const int rc = pclose(p);
+    ASSERT_TRUE(WIFEXITED(rc)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd;
+    EXPECT_EQ(err.rfind(GetParam() + " needs --out=DIR\n", 0), 0u) << err;
+}
+
+INSTANTIATE_TEST_SUITE_P(BenchCli, OutputFlagWithoutOut,
+                         ::testing::Values("--metrics", "--wall",
+                                           "--self-profile"),
+                         [](const auto &info) {
+                             std::string name;
+                             for (char c : info.param)
+                                 if (c != '-')
+                                     name += c;
+                             return name;
+                         });
 
 } // namespace
 } // namespace uhtm

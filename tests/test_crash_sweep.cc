@@ -2,19 +2,25 @@
  * @file
  * Crash-point sweep tests: exhaustive enumeration of the machine's
  * persistence-ordering points on the hybrid KV and B+tree workloads
- * and on every tiny fig7/fig9 figure job, with the CrashOracle's
- * durability / atomicity / rollback invariants checked at every point;
- * a deliberately broken commit-mark ordering must be caught and shrink
- * to a replayable crash point; replays are deterministic.
+ * and on every tiny fig7/fig9/policies figure job, with the
+ * CrashOracle's durability / atomicity / rollback invariants checked
+ * at every point; a deliberately broken commit-mark ordering must be
+ * caught and shrink to a replayable crash point; replays are
+ * deterministic. The oracle's rollback check is also driven directly.
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <array>
 #include <cstdio>
+#include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "check/crash_oracle.hh"
 #include "exec/scheduler.hh"
 #include "harness/crash_sweep.hh"
 #include "harness/figures.hh"
@@ -208,6 +214,64 @@ TEST(CrashSweep, EveryTinyFig9JobSatisfiesOracles)
     sweepTinyFigure("fig9");
 }
 
+// The contention mix writes v + 1 to a shared line, so an aborted
+// victim's speculative line can equal its killer's committed line.
+TEST(CrashSweep, EveryTinyPoliciesJobSatisfiesOracles)
+{
+    sweepTinyFigure("policies");
+}
+
+/**
+ * Oracle rollback violations after tx 7 aborts having speculatively
+ * written @p spec over @p pre, while the architectural store holds
+ * @p spec. With @p killer_bytes, tx 6 first committed those bytes.
+ */
+std::vector<CrashOracle::Violation>
+rollbackAfterAbort(std::uint64_t pre, std::uint64_t spec,
+                   std::optional<std::uint64_t> killer_bytes)
+{
+    EventQueue eq;
+    HtmSystem sys(eq, MachineConfig::tiny(), HtmPolicy::uhtmOpt(2048));
+    CrashOracle oracle(sys);
+    const Addr line = MemLayout::kNvmBase;
+    const auto image = [](std::uint64_t v) {
+        std::array<std::uint8_t, kLineBytes> b;
+        for (unsigned i = 0; i < kLineBytes; i += 8)
+            std::memcpy(b.data() + i, &v, 8);
+        return b;
+    };
+    if (killer_bytes) {
+        FaultInjector::CommittedTx killer;
+        killer.tx = 6;
+        killer.nvmLines.push_back({line, image(*killer_bytes)});
+        oracle.onTxCommitted(killer);
+    }
+    sys.setupWriteLine(line, spec);
+    FaultInjector::AbortedTx victim;
+    victim.tx = 7;
+    victim.lines.push_back({line, image(pre), image(spec)});
+    oracle.onTxAborted(victim);
+    return oracle.violations();
+}
+
+TEST(CrashOracle, AbortedBytesInTheStoreAreALeak)
+{
+    for (const auto killer : {std::optional<std::uint64_t>{},
+                              std::optional<std::uint64_t>{3}}) {
+        const auto v = rollbackAfterAbort(1, 2, killer);
+        ASSERT_EQ(v.size(), 1u);
+        EXPECT_STREQ(v[0].kind, "rollback");
+        EXPECT_EQ(v[0].detail,
+                  "aborted tx bytes visible in the architectural store");
+    }
+}
+
+TEST(CrashOracle, AbortedBytesAnotherTxCommittedAreNoLeak)
+{
+    // Victim and killer both read 1 and wrote 2; the killer committed.
+    EXPECT_TRUE(rollbackAfterAbort(1, 2, 2).empty());
+}
+
 /**
  * Run the built crash_sweep CLI with @p args (shell syntax, so the
  * caller picks where stderr goes); stdout lands in @p out.
@@ -259,7 +323,9 @@ TEST(CrashSweepTool, ReplayPastTheScheduleExitsTwo)
     std::string out;
 
     // No crash point K: nothing crashed, so no verdict may be printed.
-    for (const std::string &k : {std::string("1000"), points}) {
+    // The largest 64-bit K must not be mistaken for "no --crash-at".
+    for (const std::string &k : {std::string("1000"), points,
+                                 std::string("18446744073709551615")}) {
         EXPECT_EQ(runTool("--workload=btree --crash-at=" + k + " 2>&1",
                           &out),
                   2)

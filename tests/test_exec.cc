@@ -375,7 +375,8 @@ TEST(ResultSink, WriteToCreatesDirectoryAndFile)
     const std::string dir =
         ::testing::TempDir() + "/uhtm_exec_test/nested";
     std::string err;
-    const std::string path = sink.writeTo(dir, {}, &err);
+    const std::string path =
+        writeFileTo(dir, sink.fileName(), sink.json({}), &err);
     ASSERT_FALSE(path.empty()) << err;
     EXPECT_NE(path.find("BENCH_writeto.json"), std::string::npos);
     std::FILE *f = std::fopen(path.c_str(), "rb");

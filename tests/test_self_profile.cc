@@ -1,19 +1,23 @@
 /**
  * @file
- * Self-profiler sidecar tests: the PROFILE_<figure>.json schema must be
- * deterministic — same scope key set, in the same (enum) order — across
- * --jobs=1 and --jobs=8, even though the sampled values are host
- * wall-clock and naturally differ run to run. Guards the contract that
- * lets perf trajectories diff PROFILE files across commits.
+ * Sampled host profiler tests: a SIGPROF sample lands in the layer its
+ * thread is tagged with; no sample is taken unless --self-profile arms
+ * the sampler; and the PROFILE_<figure>.json schema is deterministic —
+ * same layer key set, in the same (enum) order — across --jobs=1 and
+ * --jobs=8, even though the sample counts are host-dependent. The
+ * schema guarantee lets perf trajectories diff PROFILE files across
+ * commits.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <ctime>
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/bench_cli.hh"
@@ -33,33 +37,19 @@ slurp(const std::filesystem::path &p)
     return ss.str();
 }
 
-/** JSON keys inside the "scopes" object, in file order. */
+/** Keys of the objects nested in "layers", in file order. */
 std::vector<std::string>
-scopeKeys(const std::string &json)
+layerKeys(const std::string &json)
 {
     std::vector<std::string> keys;
-    const std::size_t scopes = json.find("\"scopes\"");
-    if (scopes == std::string::npos)
+    std::size_t pos = json.find("\"layers\": {");
+    if (pos == std::string::npos)
         return keys;
-    std::size_t pos = scopes + 8;
-    while (true) {
-        const std::size_t open = json.find('"', pos);
-        if (open == std::string::npos)
-            break;
-        const std::size_t close = json.find('"', open + 1);
-        if (close == std::string::npos)
-            break;
-        const std::string key = json.substr(open + 1, close - open - 1);
-        // Scope keys are the ones immediately followed by an object.
-        const std::size_t colon = json.find_first_not_of(": ", close + 1);
-        if (colon != std::string::npos && json[colon] == '{')
-            keys.push_back(key);
-        pos = json.find('}', close);
-        if (pos == std::string::npos)
-            break;
-        ++pos;
-        if (json.compare(pos, 2, "\n  }") == 0)
-            break;
+    pos += 11;
+    while ((pos = json.find("\": {", pos)) != std::string::npos) {
+        const std::size_t open = json.rfind('"', pos - 1);
+        keys.push_back(json.substr(open + 1, pos - open - 1));
+        pos += 4;
     }
     return keys;
 }
@@ -79,71 +69,82 @@ runProfiled(const std::string &dir, unsigned jobs)
     return slurp(std::filesystem::path(dir) / "PROFILE_latency.json");
 }
 
+std::uint64_t
+totalSamples()
+{
+    std::uint64_t n = 0;
+    for (unsigned i = 0; i < obs::kLayerCount; ++i)
+        n += obs::layerSamples(static_cast<obs::Layer>(i));
+    return n;
+}
+
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
 TEST(SelfProfile, SchemaIsDeterministicAcrossJobCounts)
 {
     const std::string base = ::testing::TempDir();
-    const std::string d1 = base + "/uhtm_prof_j1";
-    const std::string d8 = base + "/uhtm_prof_j8";
-    const std::string j1 = runProfiled(d1, 1);
-    const std::string j8 = runProfiled(d8, 8);
+    const std::string j1 = runProfiled(base + "/uhtm_prof_j1", 1);
+    const std::string j8 = runProfiled(base + "/uhtm_prof_j8", 8);
     ASSERT_FALSE(j1.empty());
     ASSERT_FALSE(j8.empty());
 
     // Fixed top-level schema markers.
     for (const std::string *s : {&j1, &j8}) {
-        EXPECT_NE(s->find("\"schema\": \"uhtm-profile-v1\""),
+        EXPECT_NE(s->find("\"schema\": \"uhtm-profile-v2\""),
                   std::string::npos);
         EXPECT_NE(s->find("\"figure\": \"latency\""), std::string::npos);
-        EXPECT_NE(s->find("\"wall_seconds\""), std::string::npos);
-        EXPECT_NE(s->find("\"attributed_ns\""), std::string::npos);
+        EXPECT_NE(s->find("\"cpu_seconds\""), std::string::npos);
+        EXPECT_NE(s->find("\"samples\""), std::string::npos);
     }
 
-    // The scope key sequence is the ProfScope enum, every scope always
-    // present (zero or not), identical across job counts.
-    const std::vector<std::string> k1 = scopeKeys(j1);
-    const std::vector<std::string> k8 = scopeKeys(j8);
-    ASSERT_EQ(k1.size(), obs::kProfScopeCount);
+    // The layer key sequence is the Layer enum, every layer always
+    // present (sampled or not), identical across job counts.
+    const std::vector<std::string> k1 = layerKeys(j1);
+    const std::vector<std::string> k8 = layerKeys(j8);
+    ASSERT_EQ(k1.size(), obs::kLayerCount);
     EXPECT_EQ(k1, k8);
-    for (unsigned i = 0; i < obs::kProfScopeCount; ++i)
-        EXPECT_EQ(k1[i],
-                  obs::profScopeName(static_cast<obs::ProfScope>(i)));
+    for (unsigned i = 0; i < obs::kLayerCount; ++i)
+        EXPECT_EQ(k1[i], obs::layerName(static_cast<obs::Layer>(i)));
+}
+
+TEST(SelfProfile, SpinningThreadSamplesItsLayer)
+{
+    obs::installLayerSampler();
+    obs::resetLayerSamples();
+    std::thread spinner([] {
+        obs::LayerSampler sampler;
+        obs::LayerScope tag(obs::Layer::DramCache);
+        const double until = threadCpuSeconds() + 0.05;
+        while (threadCpuSeconds() < until) {
+        }
+    });
+    spinner.join();
+
+    const std::uint64_t total = totalSamples();
+    ASSERT_GT(total, 0u);
+    EXPECT_GE(obs::layerSamples(obs::Layer::DramCache), 0.9 * total)
+        << total << " samples";
+    EXPECT_GE(obs::sampledCpuSeconds(), 0.05);
 }
 
 TEST(SelfProfile, DisabledProfilerAccumulatesNothing)
 {
-    obs::SelfProfiler::reset();
-    obs::SelfProfiler::setEnabled(false);
-    {
-        UHTM_SELF_PROFILE_SCOPE(Llc);
-        UHTM_SELF_PROFILE_SCOPE(Signatures);
-    }
-    for (unsigned i = 0; i < obs::kProfScopeCount; ++i) {
-        const auto s = static_cast<obs::ProfScope>(i);
-        EXPECT_EQ(obs::SelfProfiler::scopeNs(s), 0u);
-        EXPECT_EQ(obs::SelfProfiler::scopeCount(s), 0u);
-    }
-}
-
-TEST(SelfProfile, NestedScopesAttributeSelfTime)
-{
-    obs::SelfProfiler::reset();
-    obs::SelfProfiler::setEnabled(true);
-    {
-        UHTM_SELF_PROFILE_SCOPE(Llc);
-        {
-            UHTM_SELF_PROFILE_SCOPE(Signatures);
-        }
-    }
-    obs::SelfProfiler::setEnabled(false);
-    EXPECT_EQ(obs::SelfProfiler::scopeCount(obs::ProfScope::Llc), 1u);
-    EXPECT_EQ(obs::SelfProfiler::scopeCount(obs::ProfScope::Signatures),
-              1u);
-    // Self-times are non-negative and the nested scope's time was
-    // subtracted from the parent (no double counting): parent self +
-    // child self <= any wall bound is hard to assert tightly, but both
-    // must have been recorded independently.
-    EXPECT_GE(obs::SelfProfiler::scopeNs(obs::ProfScope::Llc), 0u);
-    EXPECT_GE(obs::SelfProfiler::scopeNs(obs::ProfScope::Signatures), 0u);
+    obs::resetLayerSamples();
+    const figures::Figure *fig = figures::find("fig2");
+    ASSERT_NE(fig, nullptr);
+    BenchCliOpts opts;
+    opts.fig.tiny = true;
+    opts.jobs = 2;
+    ASSERT_EQ(runFigure(*fig, opts), 0);
+    EXPECT_EQ(totalSamples(), 0u);
+    EXPECT_EQ(obs::sampledCpuSeconds(), 0.0);
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "harness/crash_sweep.hh"
@@ -93,7 +94,7 @@ main(int argc, char **argv)
 
     std::string workload = "kv_hybrid";
     CrashSweepConfig cfg;
-    std::uint64_t crash_at = CrashOracle::kNoPoint;
+    std::optional<std::uint64_t> crash_at;
     bool list = false;
     bool verbose = false;
 
@@ -145,18 +146,18 @@ main(int argc, char **argv)
 
     CrashSweepRunner runner(cfg, std::move(spec));
 
-    if (crash_at != CrashOracle::kNoPoint) {
-        const CrashSweepResult res = runner.replay(crash_at);
+    if (crash_at) {
+        const CrashSweepResult res = runner.replay(*crash_at);
         if (!res.crashed) {
             std::fprintf(stderr,
                          "no crash point %" PRIu64
                          ": schedule has %" PRIu64 " points\n",
-                         crash_at, res.points);
+                         *crash_at, res.points);
             return 2;
         }
         std::printf("replay %s crash-at=%" PRIu64 ": %" PRIu64
                     " points, crash tick %" PRIu64 ", %zu violations\n",
-                    workload.c_str(), crash_at, res.points,
+                    workload.c_str(), *crash_at, res.points,
                     res.crashTick, res.violations.size());
         printViolations(res, verbose ? res.violations.size() : 10);
         return res.passed() ? 0 : 1;
