@@ -40,7 +40,12 @@ class SweepScheduler
     {
     }
 
-    unsigned threads() const { return _pool.threads(); }
+    /** Worker threads run() uses for @p jobs jobs: the configured
+     *  count, capped at one per job. */
+    unsigned workersFor(std::size_t jobs) const
+    {
+        return _pool.workersFor(jobs);
+    }
 
     /**
      * Seed for the job named @p key under @p sweepSeed: FNV-1a of the

@@ -58,8 +58,7 @@ WorkStealingPool::runAll(std::size_t n,
 {
     if (n == 0)
         return;
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::size_t>(_threads, n));
+    const unsigned workers = workersFor(n);
     if (workers <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i);

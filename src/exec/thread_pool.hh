@@ -18,6 +18,7 @@
 #ifndef UHTM_EXEC_THREAD_POOL_HH
 #define UHTM_EXEC_THREAD_POOL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 
@@ -41,6 +42,13 @@ class WorkStealingPool
     }
 
     unsigned threads() const { return _threads; }
+
+    /** Workers runAll() runs for @p n tasks: min(threads(), n). */
+    unsigned
+    workersFor(std::size_t n) const
+    {
+        return static_cast<unsigned>(std::min<std::size_t>(_threads, n));
+    }
 
     /**
      * Invoke @p fn(i) exactly once for every i in [0, n). Blocks until

@@ -119,7 +119,7 @@ profileSidecar(const std::string &figure, double wall_seconds,
     const double cpu = obs::sampledCpuSeconds();
     exec::JsonWriter w;
     w.beginObject();
-    w.field("schema", "uhtm-profile-v2");
+    w.field("schema", "uhtm-profile-v3");
     w.field("figure", figure);
     w.field("wall_seconds", wall_seconds);
     w.field("threads", static_cast<std::uint64_t>(threads));
@@ -319,6 +319,7 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
     }
 
     exec::SweepScheduler scheduler({opts.jobs, opts.fig.seed});
+    const unsigned threads = scheduler.workersFor(jobs.size());
     const auto t0 = std::chrono::steady_clock::now();
     const std::vector<exec::JobResult> results = scheduler.run(jobs);
     const double wallSeconds =
@@ -355,12 +356,12 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
         if (opts.wall)
             files.emplace_back("TIMING_" + figure.name + ".json",
                                timingSidecar(figure.name, wallSeconds,
-                                             results, scheduler.threads(),
+                                             results, threads,
                                              events));
         if (opts.selfProfile)
             files.emplace_back("PROFILE_" + figure.name + ".json",
                                profileSidecar(figure.name, wallSeconds,
-                                              scheduler.threads()));
+                                              threads));
         for (const auto &[name, body] : files) {
             std::string err;
             const std::string path =
@@ -377,7 +378,7 @@ runFigure(const figures::Figure &figure, const BenchCliOpts &opts)
     // Host-side summary (never part of the deterministic JSON).
     std::printf("\n[%s] %zu jobs on %u threads in %.2fs wall",
                 figure.name.c_str(), results.size(),
-                scheduler.threads(), wallSeconds);
+                threads, wallSeconds);
     if (opts.wall && wallSeconds > 0.0) {
         std::printf(" (%.1fM events/s)",
                     static_cast<double>(events) / wallSeconds / 1e6);

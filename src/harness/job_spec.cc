@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "obs/self_profile.hh"
 #include "workloads/hog.hh"
 
 namespace uhtm
@@ -11,7 +12,10 @@ RunMetrics
 JobSpec::run(std::uint64_t seed) const
 {
     Runner runner(machine, policy, seed);
-    populate(runner, seed);
+    {
+        obs::LayerScope tag(obs::Layer::Setup);
+        populate(runner, seed);
+    }
     RunMetrics m = runner.run();
     if (finish)
         finish(runner, m);

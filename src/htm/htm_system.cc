@@ -489,19 +489,9 @@ HtmSystem::resetStats()
 void
 HtmSystem::prewarmLlc(Addr base, std::uint64_t lines)
 {
-    for (std::uint64_t i = 0; i < lines; ++i) {
-        const Addr line = lineAlign(base) + i * kLineBytes;
-        if (_llc.peek(line))
-            continue;
-        CacheLine evicted;
-        bool had = false;
-        CacheLine *s = _llc.allocate(line, evicted, had);
-        // Pre-warm happens before any transaction exists; evicted
-        // lines are clean prewarm lines, so no protocol action needed.
-        s->sharers = 0;
-        s->ownerCore = kNoCore;
-        s->dirty = false;
-    }
+    // Pre-warm happens before any transaction exists: the lines are
+    // clean, unshared, and their evictions need no protocol action.
+    _llc.prewarm(lineAlign(base), lines);
 }
 
 } // namespace uhtm

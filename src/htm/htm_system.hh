@@ -382,7 +382,10 @@ class HtmSystem
     /**
      * Functionally fill the LLC with lines from [base, base + lines*64)
      * so experiments start at steady-state cache pressure instead of a
-     * cold, empty LLC (the paper measures steady state).
+     * cold, empty LLC (the paper measures steady state). Only the lines
+     * that survive the stream are installed (Cache::prewarm).
+     *
+     * @throws std::logic_error if a line was ever allocated in the LLC.
      */
     void prewarmLlc(Addr base, std::uint64_t lines);
 

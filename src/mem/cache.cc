@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace uhtm
 {
@@ -81,6 +82,25 @@ Cache::install(CacheLine *slot, Addr line_base)
 {
     _sets.install(slot, line_base);
     touch(*slot);
+}
+
+void
+Cache::prewarm(Addr base, std::uint64_t lines)
+{
+    if (_sets.allocatedSets() != 0)
+        throw std::logic_error(_name + ": prewarm needs an untouched cache");
+    const std::uint64_t evicted =
+        lines > capacityLines() ? lines - capacityLines() : 0;
+    const Addr evicted_end = base + evicted * kLineBytes;
+    _stats.evictions += evicted;
+    if (evicted_end > MemLayout::kNvmBase)
+        _stats.evictionsNvm +=
+            (evicted_end - std::max(base, MemLayout::kNvmBase)) / kLineBytes;
+    _lruClock += evicted;
+    for (std::uint64_t i = evicted; i < lines; ++i) {
+        const Addr line = base + i * kLineBytes;
+        install(_sets.set(line) + (i / numSets()) % ways(), line);
+    }
 }
 
 void

@@ -183,6 +183,25 @@ class Cache
     /** Copy-free allocation, step 2: reset, validate, tag and touch. */
     void install(CacheLine *slot, Addr line_base);
 
+    /**
+     * Fill an untouched cache with the stream of @p lines consecutive
+     * lines from the line-aligned @p base, leaving exactly the state
+     * that allocate()-ing each line in order would leave, but
+     * installing only the lines that would survive.
+     *
+     * Survivor rule: the k-th arrival into a set lands in way
+     * k mod ways, since its first ways arrivals take the invalid ways
+     * in order and each later one displaces the oldest, which sits in
+     * the next way round. With N = @p lines and C = capacityLines(),
+     * the survivors are the last min(N, C) lines; the first N - C are
+     * counted as evictions (NVM lines also in evictionsNvm) and the
+     * LRU clock advances past their stamps first, so every survivor's
+     * stamp, and every later victim, is what the per-line loop gives.
+     *
+     * @throws std::logic_error if any set is already materialized.
+     */
+    void prewarm(Addr base, std::uint64_t lines);
+
     /** Mark @p line most recently used. */
     void touch(CacheLine &line) { line.lru = ++_lruClock; }
 

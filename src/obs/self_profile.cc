@@ -43,7 +43,8 @@ layerName(Layer l)
     static constexpr const char *kNames[] = {
         "event_queue",  "l1",         "directory", "onchip_check",
         "offchip_walk", "dram_cache", "mem_ctrl",  "logs",
-        "commit",       "abort",      "workload",  "other"};
+        "commit",       "abort",      "workload",  "setup",
+        "other"};
     static_assert(std::size(kNames) == kLayerCount);
     return kNames[static_cast<unsigned>(l)];
 }

@@ -48,6 +48,7 @@ enum class Layer : std::uint8_t
     Commit,      ///< commit protocol
     Abort,       ///< abort protocol
     Workload,    ///< workload coroutine frames
+    Setup,       ///< a job's populate step: workload build, LLC pre-warm
     Other,       ///< untagged: machine build, teardown, harness
     Count
 };

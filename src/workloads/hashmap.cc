@@ -23,13 +23,11 @@ SimHashMap::SimHashMap(HtmSystem &sys, RegionAllocator &regions,
                        MemKind kind, std::uint64_t buckets)
     : _sys(sys), _nbuckets(ceilPow2(buckets))
 {
+    // Bucket heads start empty with no writes: the range is fresh
+    // (RegionAllocator never reuses one), and unwritten memory reads 0
+    // in the architectural image, the durable NVM image and every image
+    // recovered from it.
     _buckets = regions.reserve(kind, _nbuckets * 8);
-    // Bucket heads start empty (BackingStore zero-fills); make NVM
-    // buckets durable-zero explicitly for recovery tests.
-    if (kind == MemKind::Nvm) {
-        for (std::uint64_t i = 0; i < _nbuckets; ++i)
-            sys.setupWrite64(_buckets + i * 8, 0);
-    }
 }
 
 Addr

@@ -11,7 +11,8 @@
 #ifndef UHTM_WORKLOADS_REGION_ALLOC_HH
 #define UHTM_WORKLOADS_REGION_ALLOC_HH
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "mem/layout.hh"
 #include "sim/types.hh"
@@ -29,20 +30,30 @@ class RegionAllocator
     {
     }
 
-    /** Reserve @p bytes in @p kind memory; returns the base address. */
+    /**
+     * Reserve @p bytes in @p kind memory; returns the base address.
+     * The range is fresh: it was never handed out before, so it reads
+     * as zero until written.
+     *
+     * @throws std::length_error if the region's software-visible part
+     *         (below its log area) cannot hold the request.
+     */
     Addr
     reserve(MemKind kind, std::uint64_t bytes)
     {
+        const bool dram = kind == MemKind::Dram;
+        Addr &next = dram ? _dramNext : _nvmNext;
+        const Addr end = dram ? MemLayout::kDramBase + MemLayout::kDramSize
+                              : MemLayout::kNvmBase + MemLayout::kNvmSize;
         const std::uint64_t aligned = (bytes + 4095) & ~std::uint64_t(4095);
-        if (kind == MemKind::Dram) {
-            const Addr base = _dramNext;
-            _dramNext += aligned;
-            assert(_dramNext <= MemLayout::kDramBase + MemLayout::kDramSize);
-            return base;
+        if (aligned < bytes || aligned > end - next) {
+            throw std::length_error(
+                std::string("RegionAllocator: ") + memKindName(kind) +
+                " region cannot hold " + std::to_string(bytes) +
+                " more bytes (" + std::to_string(end - next) + " left)");
         }
-        const Addr base = _nvmNext;
-        _nvmNext += aligned;
-        assert(_nvmNext <= MemLayout::kNvmBase + MemLayout::kNvmSize);
+        const Addr base = next;
+        next += aligned;
         return base;
     }
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "workloads/ring.hh"
 #include "workloads/tx_alloc.hh"
 
@@ -33,6 +36,36 @@ TEST(RegionAllocator, DisjointPageAlignedRanges)
     const Addr n = regions.reserve(MemKind::Nvm, 100);
     EXPECT_EQ(MemLayout::kindOf(n), MemKind::Nvm);
     EXPECT_EQ(MemLayout::kindOf(a), MemKind::Dram);
+}
+
+TEST(RegionAllocator, ExhaustedRegionsThrow)
+{
+    // Both regions start 1 MiB in; the log areas above them are never
+    // handed out, in release builds too.
+    for (MemKind kind : {MemKind::Dram, MemKind::Nvm}) {
+        SCOPED_TRACE(memKindName(kind));
+        const std::uint64_t size = kind == MemKind::Dram
+                                       ? MemLayout::kDramSize
+                                       : MemLayout::kNvmSize;
+        RegionAllocator regions;
+        EXPECT_THROW(regions.reserve(kind, size), std::length_error);
+        EXPECT_THROW(regions.reserve(kind, ~std::uint64_t(0)),
+                     std::length_error);
+        // A refused request reserves nothing.
+        const Addr base = regions.reserve(kind, size - MiB(1) - 4096);
+        EXPECT_EQ(regions.reservedBytes(kind), size - MiB(1) - 4096);
+        const Addr last = regions.reserve(kind, 4096);
+        EXPECT_EQ(last, base + size - MiB(1) - 4096);
+        EXPECT_FALSE(MemLayout::isLogArea(last + 4095));
+        EXPECT_THROW(regions.reserve(kind, 1), std::length_error);
+        try {
+            regions.reserve(kind, 1);
+        } catch (const std::length_error &e) {
+            EXPECT_NE(std::string(e.what()).find(memKindName(kind)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(TxAllocator, LineAlignedBumpAllocation)

@@ -2,17 +2,22 @@
  * @file
  * Unit tests for the passive memory components: backing store, memory
  * controller, cache tag array and DRAM cache, including the sparse set
- * store under both caches (checked against dense reference models).
+ * store under both caches (checked against dense reference models),
+ * the backing store's page memo and the survivor-only LLC pre-warm
+ * (each checked against the simple version it replaces).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <random>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "check/fault_injector.hh"
+#include "htm/htm_system.hh"
 #include "htm/tx_context.hh"
 #include "mem/backing_store.hh"
 #include "mem/cache.hh"
@@ -70,6 +75,142 @@ TEST(BackingStore, CopyFromSnapshotsDeeply)
     b.copyFrom(a);
     a.write64(0x100, 9);
     EXPECT_EQ(b.read64(0x100), 7u) << "snapshot must not alias";
+}
+
+/** Byte-level reference image: unwritten bytes read 0. */
+struct RefImage
+{
+    std::map<Addr, std::uint8_t> bytes;
+
+    void
+    write(Addr a, const void *in, std::size_t len)
+    {
+        const auto *p = static_cast<const std::uint8_t *>(in);
+        for (std::size_t i = 0; i < len; ++i)
+            bytes[a + i] = p[i];
+    }
+
+    std::uint64_t
+    read64(Addr a) const
+    {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < 8; ++i) {
+            auto it = bytes.find(a + i);
+            v |= std::uint64_t(it == bytes.end() ? 0 : it->second) << (8 * i);
+        }
+        return v;
+    }
+};
+
+/** Every reference byte, plus an unwritten neighbour, reads back. */
+void
+expectImage(const BackingStore &store, const RefImage &ref)
+{
+    for (const auto &[a, b] : ref.bytes) {
+        std::uint8_t got = 0xff;
+        store.read(a, &got, 1);
+        ASSERT_EQ(got, b) << std::hex << a;
+        if ((a & 7) == 0) {
+            ASSERT_EQ(store.read64(a), ref.read64(a)) << std::hex << a;
+        }
+    }
+}
+
+TEST(BackingStore, PageMemoMatchesReferenceImage)
+{
+    // 64 page numbers per memo slot residue class, 4096 pages in all:
+    // far more pages than memo slots, and many that share a slot.
+    constexpr std::uint64_t kPages = 4096;
+    std::mt19937_64 rng(0xbacc);
+    auto randomAddr = [&] {
+        const std::uint64_t page = rng() % 2 ? (rng() % 64) * 512 + rng() % 8
+                                             : rng() % kPages;
+        return MemLayout::kNvmBase + page * BackingStore::kPageBytes +
+               rng() % BackingStore::kPageBytes;
+    };
+
+    BackingStore store;
+    RefImage ref;
+    for (int step = 0; step < 20000; ++step) {
+        SCOPED_TRACE(step);
+        const Addr a = randomAddr();
+        const std::uint64_t v = rng();
+        switch (rng() % 5) {
+        case 0: // aligned or page-straddling word write
+            store.write64(a, v);
+            ref.write(a, &v, 8);
+            break;
+        case 1: { // line write
+            const Addr line = lineAlign(a);
+            std::uint8_t buf[kLineBytes];
+            for (unsigned i = 0; i < kLineBytes; ++i)
+                buf[i] = static_cast<std::uint8_t>(v >> (i % 8));
+            store.writeLine(line, buf);
+            ref.write(line, buf, kLineBytes);
+            break;
+        }
+        case 2:
+            ASSERT_EQ(store.read64(a & ~Addr(7)), ref.read64(a & ~Addr(7)));
+            break;
+        case 3:
+            ASSERT_EQ(store.read64(a), ref.read64(a));
+            break;
+        default: {
+            const Addr line = lineAlign(a);
+            std::uint8_t buf[kLineBytes];
+            store.readLine(line, buf);
+            for (unsigned i = 0; i < kLineBytes; i += 8) {
+                std::uint64_t w;
+                std::memcpy(&w, buf + i, 8);
+                ASSERT_EQ(w, ref.read64(line + i));
+            }
+            break;
+        }
+        }
+    }
+    EXPECT_GT(store.pageCount(), 512u);
+    expectImage(store, ref);
+
+    // A moved-to store serves the same image; writes through it land
+    // in its own pages, not in a stale memo entry of the source.
+    BackingStore moved(std::move(store));
+    expectImage(moved, ref);
+    for (int i = 0; i < 2000; ++i) {
+        const Addr a = randomAddr() & ~Addr(7);
+        const std::uint64_t v = rng();
+        moved.write64(a, v);
+        ref.write(a, &v, 8);
+    }
+    expectImage(moved, ref);
+    BackingStore assigned;
+    assigned.write64(randomAddr() & ~Addr(7), 1); // warm its memo
+    assigned = std::move(moved);
+    expectImage(assigned, ref);
+
+    // copyFrom replaces the whole image, memo included; the copy and
+    // the source diverge independently afterwards.
+    BackingStore copy;
+    for (int i = 0; i < 600; ++i)
+        copy.write64(randomAddr() & ~Addr(7), ~std::uint64_t(0));
+    copy.copyFrom(assigned);
+    expectImage(copy, ref);
+    RefImage copy_ref = ref;
+    for (int i = 0; i < 2000; ++i) {
+        const Addr a = randomAddr() & ~Addr(7);
+        const std::uint64_t v = rng();
+        copy.write64(a, v);
+        copy_ref.write(a, &v, 8);
+    }
+    expectImage(copy, copy_ref);
+    expectImage(assigned, ref);
+
+    copy.clear();
+    EXPECT_EQ(copy.pageCount(), 0u);
+    for (const auto &[a, b] : copy_ref.bytes) {
+        std::uint8_t got = 0xff;
+        copy.read(a, &got, 1);
+        ASSERT_EQ(got, 0u) << std::hex << a;
+    }
 }
 
 TEST(MemCtrl, LatencyAndOccupancy)
@@ -909,6 +1050,114 @@ TEST(SparseSets, DramCacheMatchesDenseReference)
     EXPECT_GT(a.writeBacks, 0u);
     EXPECT_LE(dc.allocatedSets(), kSets / 2)
         << "the untouched upper half must stay unallocated";
+}
+
+/** The per-line pre-warm loop that Cache::prewarm replaces. */
+void
+prewarmPerLine(Cache &c, Addr base, std::uint64_t lines)
+{
+    for (std::uint64_t i = 0; i < lines; ++i) {
+        CacheLine evicted;
+        bool had = false;
+        c.allocate(base + i * kLineBytes, evicted, had);
+    }
+}
+
+/** (tag, lru) of every valid line, in forEachLine order. */
+std::vector<std::pair<Addr, std::uint64_t>>
+lineOrder(Cache &c)
+{
+    std::vector<std::pair<Addr, std::uint64_t>> out;
+    c.forEachLine([&](CacheLine &l) { out.emplace_back(l.tag, l.lru); });
+    return out;
+}
+
+TEST(Prewarm, SurvivorOnlyMatchesPerLineLoop)
+{
+    constexpr std::uint64_t kSets = 64;
+    constexpr unsigned kWays = 4;
+    constexpr std::uint64_t kCap = kSets * kWays;
+    struct Case
+    {
+        Addr base;
+        std::uint64_t lines;
+    };
+    const Addr dram = MiB(1);
+    const Addr nvm = MemLayout::kNvmBase;
+    const Case cases[] = {
+        {dram, 0},
+        {dram, kCap / 2 + 3}, // N < C
+        {dram, kCap},         // N = C
+        // N > C, base mid-set-range, 14 or 15 arrivals per set: not a
+        // multiple of the ways.
+        {dram + 17 * kLineBytes, 3 * kCap + 2 * kSets + 5},
+        {nvm + 5 * kLineBytes, 2 * kCap + 9},
+        // The evicted lines straddle the NVM base.
+        {nvm - 100 * kLineBytes, kCap + 300},
+    };
+    for (bool tx_aware : {false, true}) {
+        for (const Case &c : cases) {
+            SCOPED_TRACE(testing::Message() << "base " << std::hex << c.base
+                                            << std::dec << " lines "
+                                            << c.lines << " tx_aware "
+                                            << tx_aware);
+            Cache loop("loop", kCap * kLineBytes, kWays, tx_aware);
+            Cache fast("fast", kCap * kLineBytes, kWays, tx_aware);
+            ASSERT_EQ(fast.numSets(), kSets);
+            prewarmPerLine(loop, c.base, c.lines);
+            fast.prewarm(c.base, c.lines);
+
+            EXPECT_EQ(lineOrder(fast), lineOrder(loop));
+            expectSameStats(fast.stats(), loop.stats());
+            EXPECT_EQ(fast.allocatedSets(), loop.allocatedSets());
+
+            // The next 1000 victims, and their stamps, are the same.
+            std::mt19937_64 rng(c.lines);
+            for (int i = 0; i < 1000; ++i) {
+                const Addr line = randomLine(rng, 2 * kSets);
+                if (loop.peek(line)) {
+                    ASSERT_NE(fast.lookup(line), nullptr);
+                    loop.lookup(line);
+                    continue;
+                }
+                CacheLine ev_loop, ev_fast;
+                bool had_loop = false, had_fast = false;
+                loop.allocate(line, ev_loop, had_loop);
+                fast.allocate(line, ev_fast, had_fast);
+                ASSERT_EQ(had_fast, had_loop) << i;
+                if (had_loop) {
+                    ASSERT_EQ(ev_fast.tag, ev_loop.tag) << i;
+                    ASSERT_EQ(ev_fast.lru, ev_loop.lru) << i;
+                }
+            }
+            EXPECT_EQ(lineOrder(fast), lineOrder(loop));
+            expectSameStats(fast.stats(), loop.stats());
+        }
+    }
+}
+
+TEST(Prewarm, CountsOnlyNvmEvictionsAsNvm)
+{
+    Cache c("t", 64 * kLineBytes, 4);
+    c.prewarm(MemLayout::kNvmBase - 10 * kLineBytes, 64 + 25);
+    EXPECT_EQ(c.stats().evictions, 25u);
+    EXPECT_EQ(c.stats().evictionsNvm, 15u);
+}
+
+TEST(Prewarm, NonEmptyLlcThrows)
+{
+    Cache c("t", 64 * kLineBytes, 4);
+    CacheLine ev;
+    bool had = false;
+    c.allocate(MiB(1), ev, had);
+    c.invalidate(MiB(1)); // empty again, but a set was materialized
+    EXPECT_THROW(c.prewarm(MiB(2), 8), std::logic_error);
+
+    EventQueue eq;
+    HtmSystem sys{eq, MachineConfig::tiny(), HtmPolicy::uhtmOpt(2048)};
+    sys.prewarmLlc(MemLayout::kNvmBase + MiB(1), 100);
+    EXPECT_THROW(sys.prewarmLlc(MemLayout::kNvmBase + MiB(2), 100),
+                 std::logic_error);
 }
 
 } // namespace

@@ -6,7 +6,8 @@
  * same layer key set, in the same (enum) order — across --jobs=1 and
  * --jobs=8, even though the sample counts are host-dependent. The
  * schema guarantee lets perf trajectories diff PROFILE files across
- * commits.
+ * commits. A job's populate step runs in the setup layer, and every
+ * host-timing output reports the workers a sweep really ran.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "harness/bench_cli.hh"
+#include "harness/job_spec.hh"
 #include "obs/self_profile.hh"
 
 namespace uhtm
@@ -97,7 +99,7 @@ TEST(SelfProfile, SchemaIsDeterministicAcrossJobCounts)
 
     // Fixed top-level schema markers.
     for (const std::string *s : {&j1, &j8}) {
-        EXPECT_NE(s->find("\"schema\": \"uhtm-profile-v2\""),
+        EXPECT_NE(s->find("\"schema\": \"uhtm-profile-v3\""),
                   std::string::npos);
         EXPECT_NE(s->find("\"figure\": \"latency\""), std::string::npos);
         EXPECT_NE(s->find("\"cpu_seconds\""), std::string::npos);
@@ -112,6 +114,45 @@ TEST(SelfProfile, SchemaIsDeterministicAcrossJobCounts)
     EXPECT_EQ(k1, k8);
     for (unsigned i = 0; i < obs::kLayerCount; ++i)
         EXPECT_EQ(k1[i], obs::layerName(static_cast<obs::Layer>(i)));
+}
+
+TEST(SelfProfile, PopulateStepRunsInTheSetupLayer)
+{
+    JobSpec spec;
+    spec.machine.cores = 1;
+    obs::Layer seen = obs::Layer::Count;
+    spec.populate = [&seen](Runner &, std::uint64_t) { seen = obs::t_layer; };
+    spec.run(1);
+    EXPECT_EQ(seen, obs::Layer::Setup);
+    const obs::Layer after = obs::t_layer;
+    EXPECT_EQ(after, obs::Layer::Other);
+}
+
+TEST(SelfProfile, SidecarsReportTheWorkersThatRan)
+{
+    // latency is one job: --jobs=8 runs it on one worker, and the
+    // summary line, TIMING and PROFILE must all say so.
+    const figures::Figure *fig = figures::find("latency");
+    ASSERT_NE(fig, nullptr);
+    const std::string dir = ::testing::TempDir() + "/uhtm_prof_workers";
+    BenchCliOpts opts;
+    opts.fig.tiny = true;
+    opts.fig.quick = true;
+    opts.jobs = 8;
+    opts.outDir = dir;
+    opts.wall = true;
+    opts.selfProfile = true;
+    ::testing::internal::CaptureStdout();
+    const int rc = runFigure(*fig, opts);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    ASSERT_EQ(rc, 0);
+    EXPECT_NE(out.find("[latency] 1 jobs on 1 threads"), std::string::npos)
+        << out;
+    for (const char *name : {"TIMING_latency.json", "PROFILE_latency.json"}) {
+        const std::string doc = slurp(std::filesystem::path(dir) / name);
+        EXPECT_NE(doc.find("\"threads\": 1,"), std::string::npos)
+            << name << ":\n" << doc;
+    }
 }
 
 TEST(SelfProfile, SpinningThreadSamplesItsLayer)
